@@ -105,7 +105,7 @@ void BM_Im2col(benchmark::State& state) {
   for (auto& v : in) v = rng.uniform(0.f, 1.f);
   std::vector<float> cols(static_cast<size_t>(g.col_rows() * g.col_cols()));
   for (auto _ : state) {
-    im2col(g, in.data(), cols.data());
+    im2col(g, in.data(), cols.data(), g.col_cols());
     benchmark::DoNotOptimize(cols.data());
   }
 }

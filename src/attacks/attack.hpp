@@ -40,6 +40,18 @@ struct AttackContext {
   uint64_t seed = 0;
 };
 
+// Network calls one perturb() makes per batch at a nonzero epsilon: forward()
+// and backward() calls into the net the attack queries (grad_net for
+// gradient attacks, eval_net for gradient-free ones). Counted on a
+// stochastic net — EOT-PGD collapses to one gradient sample per step on a
+// net without noise streams. exp::SweepEngine prices its cells with these
+// counts to dispatch the longest first; tests/attacks/test_attack_registry
+// checks them against counted calls for every registered key.
+struct AttackPasses {
+  int64_t forward = 0;
+  int64_t backward = 0;
+};
+
 // Abstract adversary. Implementations are small config-holding classes
 // registered in attacks/registry.cpp; the free-function cores (fgsm.hpp,
 // pgd.hpp, mifgsm.hpp, square.hpp) stay usable directly.
@@ -59,6 +71,9 @@ class Attack {
   // the control arm of the gradient-obfuscation audit: no amount of gradient
   // noise can mask a model from an attack that uses no gradients.
   virtual bool gradient_free() const { return false; }
+
+  // Forward/backward network calls per batch (see AttackPasses).
+  virtual AttackPasses passes() const = 0;
 
   // Crafts adversarial examples for one batch. Must not mutate x; must be
   // deterministic given (config, ctx, x, labels). May reseed ctx nets' noise

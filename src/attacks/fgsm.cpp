@@ -18,6 +18,8 @@ Tensor input_gradient(nn::Module& net, const Tensor& x,
                       const std::vector<int64_t>& labels, bool with_noise) {
   const bool was_training = net.training();
   net.set_training(false);
+  // An attack reads dL/dx only: no layer computes a parameter gradient.
+  nn::Module::ParamGradsDisabledScope input_only;
   Tensor grad;
   if (with_noise) {
     grad = backprop_to_input(net, x, labels);

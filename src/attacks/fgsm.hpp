@@ -14,9 +14,9 @@ namespace rhw::attacks {
 
 using nn::Tensor;
 
-// d(mean CE loss)/d(input). Side effect: accumulates into the net's parameter
-// gradients — callers that later train must zero_grad first (SGD::zero_grad
-// does). Restores the net's training flag.
+// d(mean CE loss)/d(input). Runs under nn::Module::ParamGradsDisabledScope:
+// no layer computes or accumulates a parameter gradient, so every
+// Param::grad is left exactly as it was. Restores the net's training flag.
 //
 // with_noise=false (default) computes the gradient under HooksDisabledScope —
 // the paper's rule that bit-error noise is absent during gradient computation

@@ -1,5 +1,6 @@
 #include "attacks/registry.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -49,6 +50,7 @@ class FgsmAttack final : public Attack {
   std::string name() const override { return "FGSM"; }
   float epsilon() const override { return cfg_.epsilon; }
   void set_epsilon(float eps) override { cfg_.epsilon = eps; }
+  AttackPasses passes() const override { return {1, 1}; }
   Tensor perturb(const AttackContext& ctx, const Tensor& x,
                  const std::vector<int64_t>& labels) const override {
     return fgsm(*ctx.grad_net, x, labels, cfg_);
@@ -65,6 +67,10 @@ class PgdAttack final : public Attack {
   std::string name() const override { return name_; }
   float epsilon() const override { return cfg_.epsilon; }
   void set_epsilon(float eps) override { cfg_.epsilon = eps; }
+  AttackPasses passes() const override {
+    const int64_t n = int64_t{cfg_.steps} * std::max(1, cfg_.grad_samples);
+    return {n, n};
+  }
   Tensor perturb(const AttackContext& ctx, const Tensor& x,
                  const std::vector<int64_t>& labels) const override {
     PgdConfig cfg = cfg_;
@@ -83,6 +89,7 @@ class MiFgsmAttack final : public Attack {
   std::string name() const override { return "MI-FGSM"; }
   float epsilon() const override { return cfg_.epsilon; }
   void set_epsilon(float eps) override { cfg_.epsilon = eps; }
+  AttackPasses passes() const override { return {cfg_.steps, cfg_.steps}; }
   Tensor perturb(const AttackContext& ctx, const Tensor& x,
                  const std::vector<int64_t>& labels) const override {
     return mifgsm(*ctx.grad_net, x, labels, cfg_);
@@ -99,6 +106,7 @@ class SquareAttack final : public Attack {
   float epsilon() const override { return cfg_.epsilon; }
   void set_epsilon(float eps) override { cfg_.epsilon = eps; }
   bool gradient_free() const override { return true; }
+  AttackPasses passes() const override { return {cfg_.queries, 0}; }
   Tensor perturb(const AttackContext& ctx, const Tensor& x,
                  const std::vector<int64_t>& labels) const override {
     SquareConfig cfg = cfg_;

@@ -21,11 +21,17 @@ void pack_op(bool trans, int64_t rows, int64_t cols, const float* x,
       std::copy(src, src + cols, out + i * cols);
     }
   } else {
-    // out[i][j] = x[j][i]
-    for (int64_t j = 0; j < cols; ++j) {
-      const float* src = x + j * ldx;
-      for (int64_t i = 0; i < rows; ++i) {
-        out[i * cols + j] = src[i];
+    // out[i][j] = x[j][i], in row tiles so the strided writes of one tile
+    // stay cache-resident however long the rows are (a pure copy: tiling
+    // never changes a value).
+    constexpr int64_t kTile = 64;
+    for (int64_t i0 = 0; i0 < rows; i0 += kTile) {
+      const int64_t i1 = std::min(rows, i0 + kTile);
+      for (int64_t j = 0; j < cols; ++j) {
+        const float* src = x + j * ldx;
+        for (int64_t i = i0; i < i1; ++i) {
+          out[i * cols + j] = src[i];
+        }
       }
     }
   }
@@ -153,8 +159,8 @@ void Engine::conv2d_forward(const ConvGeom& g, int64_t batch,
     // one wide [col_rows x nb*ohw] buffer (disjoint writes, parallel-safe).
     parallel_for(nb, [&](int64_t begin, int64_t end) {
       for (int64_t i = begin; i < end; ++i) {
-        im2col_ld(g, input + (s0 + i) * in_stride, cols.data() + i * ohw,
-                  cols_n);
+        im2col(g, input + (s0 + i) * in_stride, cols.data() + i * ohw,
+               cols_n);
       }
     });
     // One wide GEMM for the whole chunk instead of nb small per-sample ones.
@@ -173,6 +179,98 @@ void Engine::conv2d_forward(const ConvGeom& g, int64_t batch,
         }
       }
     });
+  }
+}
+
+// -- fused batched conv backward ----------------------------------------------
+
+void Engine::conv2d_backward(const ConvGeom& g, int64_t batch,
+                             const float* input, int64_t out_c,
+                             const float* weights, const float* grad_out,
+                             float* grad_in, float* grad_w,
+                             float* grad_b) const {
+  const int64_t ohw = g.col_cols();
+  const int64_t col_rows = g.col_rows();
+  const int64_t in_stride = g.in_c * g.in_h * g.in_w;
+  const int64_t out_stride = out_c * ohw;
+  std::fill(grad_in, grad_in + batch * in_stride, 0.f);
+  if (batch == 0 || ohw == 0) return;
+
+  if (grad_b != nullptr) {
+    // One double accumulator per channel over the whole batch, sample-major.
+    for (int64_t oc = 0; oc < out_c; ++oc) {
+      double acc = 0.0;
+      for (int64_t i = 0; i < batch; ++i) {
+        const float* plane = grad_out + i * out_stride + oc * ohw;
+        for (int64_t p = 0; p < ohw; ++p) acc += plane[p];
+      }
+      grad_b[oc] += static_cast<float>(acc);
+    }
+  }
+
+  // Scratch per sample: gathered grad_out + dcols, plus the im2col columns
+  // when dW is wanted. With dW the chunk is rounded to whole groups, so
+  // groups never straddle chunks and their order is the absolute one.
+  const bool want_w = grad_w != nullptr;
+  const int64_t group = std::max<int64_t>(1, kConvGradGroupCols / ohw);
+  const int64_t bytes_per_sample = (out_c + col_rows * (want_w ? 2 : 1)) *
+                                   ohw * static_cast<int64_t>(sizeof(float));
+  int64_t chunk = std::clamp<int64_t>(
+      kFusedScratchBytes / std::max<int64_t>(bytes_per_sample, 1), 1, batch);
+  if (want_w) chunk = std::min(batch, std::max(group, chunk / group * group));
+  const int64_t w_size = out_c * col_rows;
+
+  std::vector<float> gathered(static_cast<size_t>(out_c * chunk * ohw));
+  std::vector<float> dcols(static_cast<size_t>(col_rows * chunk * ohw));
+  std::vector<float> cols(want_w ? static_cast<size_t>(col_rows * chunk * ohw)
+                                 : 0);
+  std::vector<float> partials(
+      want_w ? static_cast<size_t>((chunk + group - 1) / group * w_size) : 0);
+  for (int64_t s0 = 0; s0 < batch; s0 += chunk) {
+    const int64_t nb = std::min(chunk, batch - s0);
+    const int64_t cols_n = nb * ohw;
+    // Gather [nb, out_c, ohw] into one [out_c x nb*ohw] operand (and the
+    // matching im2col columns for dW); disjoint writes, parallel-safe.
+    parallel_for(nb, [&](int64_t begin, int64_t end) {
+      for (int64_t i = begin; i < end; ++i) {
+        const float* src = grad_out + (s0 + i) * out_stride;
+        for (int64_t oc = 0; oc < out_c; ++oc) {
+          std::copy(src + oc * ohw, src + (oc + 1) * ohw,
+                    gathered.data() + oc * cols_n + i * ohw);
+        }
+        if (want_w) {
+          im2col(g, input + (s0 + i) * in_stride, cols.data() + i * ohw,
+                 cols_n);
+        }
+      }
+    });
+    // dX: dcols = W^T [col_rows x out_c] * G [out_c x nb*ohw] in one GEMM,
+    // then each sample's columns scatter back through col2im.
+    gemm(true, false, col_rows, cols_n, out_c, 1.f, weights, col_rows,
+         gathered.data(), cols_n, 0.f, dcols.data(), cols_n);
+    parallel_for(nb, [&](int64_t begin, int64_t end) {
+      for (int64_t i = begin; i < end; ++i) {
+        col2im(g, dcols.data() + i * ohw, grad_in + (s0 + i) * in_stride,
+               cols_n);
+      }
+    });
+    if (!want_w) continue;
+    // dW: one [out_c x k] * [k x col_rows] GEMM per sample group into its
+    // own partial, then the partials are added in group order.
+    const int64_t groups = (nb + group - 1) / group;
+    parallel_for(groups, [&](int64_t begin, int64_t end) {
+      for (int64_t q = begin; q < end; ++q) {
+        const int64_t off = q * group * ohw;
+        const int64_t k = std::min(group * ohw, cols_n - off);
+        gemm(false, true, out_c, col_rows, k, 1.f, gathered.data() + off,
+             cols_n, cols.data() + off, cols_n, 0.f,
+             partials.data() + q * w_size, col_rows);
+      }
+    });
+    for (int64_t q = 0; q < groups; ++q) {
+      const float* part = partials.data() + q * w_size;
+      for (int64_t j = 0; j < w_size; ++j) grad_w[j] += part[j];
+    }
   }
 }
 

@@ -77,12 +77,44 @@ class Engine {
                               const float* weights, const float* bias,
                               float* out) const;
 
+  // Batch-fused convolution backward, the adjoint of conv2d_forward. Per
+  // scratch-capped chunk of samples it gathers `grad_out` into one
+  // [out_c x chunk*ohw] buffer, computes the input gradient with ONE wide
+  // W^T GEMM plus a strided col2im, and — when `grad_w` is non-null — the
+  // weight gradient over a fixed grid of sample groups (kConvGradGroupCols
+  // below): one GEMM per group into a group partial, the partials added into
+  // `grad_w` in group order.
+  //
+  // `grad_out` is [batch, out_c, oh, ow]; `grad_in` is [batch, in_c, in_h,
+  // in_w] and is overwritten. `grad_w` ([out_c, col_rows]) and `grad_b`
+  // ([out_c]) are accumulated into (+=); a null `grad_w` skips the dW GEMMs
+  // and their im2col (`input` is then never read), a null `grad_b` skips the
+  // bias reduction — the input-gradient-only form attacks use.
+  //
+  // Determinism: each grad_in element is one k = out_c dot product in the
+  // engine's k order followed by col2im's fixed scatter order — the same
+  // bits as a per-sample W^T GEMM, at any chunking or thread count. The
+  // group grid depends only on (geometry, batch), never on the pool size,
+  // and the group partials are reduced in a fixed order, so grad_w is
+  // bit-identical at any thread count.
+  virtual void conv2d_backward(const ConvGeom& g, int64_t batch,
+                               const float* input, int64_t out_c,
+                               const float* weights, const float* grad_out,
+                               float* grad_in, float* grad_w,
+                               float* grad_b) const;
+
  protected:
   explicit Engine(std::string spec) : spec_(std::move(spec)) {}
 
  private:
   std::string spec_;
 };
+
+// Column budget of one sample group in Engine::conv2d_backward's weight
+// gradient: a group holds max(1, kConvGradGroupCols / (oh*ow)) samples, so
+// the group grid — and with it the order of every dW float addition — is a
+// function of the layer geometry and batch alone.
+inline constexpr int64_t kConvGradGroupCols = 2048;
 
 // Engines are immutable after construction and shared freely across threads.
 using EnginePtr = std::shared_ptr<const Engine>;

@@ -4,12 +4,8 @@
 
 namespace rhw {
 
-void im2col(const ConvGeom& g, const float* input, float* columns) {
-  im2col_ld(g, input, columns, g.col_cols());
-}
-
-void im2col_ld(const ConvGeom& g, const float* input, float* columns,
-               int64_t ld) {
+void im2col(const ConvGeom& g, const float* input, float* columns,
+            int64_t ld) {
   const int64_t oh = g.out_h(), ow = g.out_w();
   const int64_t plane = g.in_h * g.in_w;
   int64_t row = 0;
@@ -36,7 +32,8 @@ void im2col_ld(const ConvGeom& g, const float* input, float* columns,
   }
 }
 
-void col2im(const ConvGeom& g, const float* columns, float* input_grad) {
+void col2im(const ConvGeom& g, const float* columns, float* input_grad,
+            int64_t ld) {
   const int64_t oh = g.out_h(), ow = g.out_w();
   const int64_t plane = g.in_h * g.in_w;
   int64_t row = 0;
@@ -44,7 +41,7 @@ void col2im(const ConvGeom& g, const float* columns, float* input_grad) {
     float* chan = input_grad + c * plane;
     for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
       for (int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
-        const float* col_row = columns + row * (oh * ow);
+        const float* col_row = columns + row * ld;
         for (int64_t y = 0; y < oh; ++y) {
           const int64_t in_y = y * g.stride + kh - g.pad;
           if (in_y < 0 || in_y >= g.in_h) continue;

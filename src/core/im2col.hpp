@@ -1,8 +1,12 @@
 // im2col / col2im for convolution lowering.
 //
-// Layout: input activations are [C, H, W] per sample (the conv layer loops
-// over the batch). The column buffer is [C*KH*KW, OH*OW] row-major so that a
-// weight matrix [OC, C*KH*KW] times the column buffer yields [OC, OH*OW].
+// Layout: input activations are [C, H, W] per sample. The column buffer is
+// [C*KH*KW, OH*OW] per sample, row-major with leading dimension `ld` >=
+// OH*OW, so that a weight matrix [OC, C*KH*KW] times the column buffer yields
+// [OC, OH*OW]. A wider `ld` lets several samples' columns sit side by side
+// in one [C*KH*KW x batch*OH*OW] buffer feeding a single GEMM — the
+// batch-fused lowering core::Engine::conv2d_forward / conv2d_backward use.
+// One sample on its own passes ld = col_cols().
 #pragma once
 
 #include <cstdint>
@@ -21,19 +25,14 @@ struct ConvGeom {
   int64_t col_cols() const { return out_h() * out_w(); }
 };
 
-// Expands one sample's activations into the column buffer (size
-// col_rows x col_cols, caller-allocated).
-void im2col(const ConvGeom& g, const float* input, float* columns);
+// Expands one sample's activations into the column buffer (col_rows rows of
+// col_cols values, row stride ld; caller-allocated).
+void im2col(const ConvGeom& g, const float* input, float* columns, int64_t ld);
 
-// Strided variant for batch-fused lowering (core::Engine::conv2d_forward):
-// rows are written with leading dimension ld >= col_cols, so several
-// samples' columns can sit side by side in one [col_rows x batch*col_cols]
-// buffer feeding a single GEMM. im2col(...) == im2col_ld(..., col_cols()).
-void im2col_ld(const ConvGeom& g, const float* input, float* columns,
-               int64_t ld);
-
-// Scatter-adds a column buffer back into an input-shaped gradient buffer
-// (caller must zero it first if accumulation from zero is desired).
-void col2im(const ConvGeom& g, const float* columns, float* input_grad);
+// Scatter-adds one sample's column buffer (row stride ld) back into an
+// input-shaped gradient buffer (caller must zero it first if accumulation
+// from zero is desired). The exact adjoint of im2col.
+void col2im(const ConvGeom& g, const float* columns, float* input_grad,
+            int64_t ld);
 
 }  // namespace rhw

@@ -77,6 +77,13 @@ class Defense {
   // instead of aborting mid-run from a worker lane.
   virtual bool needs_calibration() const { return false; }
 
+  // Substrate forward passes per forward of the served module: the vote
+  // count for randomized smoothing, 1 for every other defense (a backward
+  // is one pass either way — smoothing's is straight-through one sample).
+  // exp::SweepEngine prices sweep cells with it to dispatch the longest
+  // first.
+  virtual int64_t forward_multiplier() const { return 1; }
+
   // Phase 1: mutate the model in place before hardware prepare(). Default
   // no-op (inference-time defenses).
   virtual void harden(models::Model& model, const DefenseContext& ctx) const;

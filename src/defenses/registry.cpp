@@ -72,6 +72,7 @@ class SmoothDefense final : public Defense {
  public:
   explicit SmoothDefense(SmoothConfig cfg) : cfg_(cfg) {}
   std::string name() const override { return "Smooth"; }
+  int64_t forward_multiplier() const override { return cfg_.samples; }
 
  protected:
   hw::BackendPtr do_wrap(hw::HardwareBackend& inner) const override {

@@ -248,12 +248,14 @@ SweepResult SweepEngine::run(const SweepGrid& grid) {
     result.mode_labels.push_back(mode.label);
     result.mode_defs.push_back(mode);
   }
+  std::vector<attacks::AttackPtr> attack_arms;
   for (const auto& attack : grid.attacks) {
     // Validate every attack arm before evaluating anything: a typo'd spec
     // must fail the whole run with the registry's token-naming error, not
     // abort mid-grid from a worker lane.
+    attack_arms.push_back(attacks::make_attack(attack.spec));
     result.attack_specs.push_back(attack.spec);
-    result.attack_names.push_back(attacks::attack_display_name(attack.spec));
+    result.attack_names.push_back(attack_arms.back()->name());
   }
   result.trials = trials;
   result.base_seed = grid.base.seed;
@@ -372,6 +374,32 @@ SweepResult SweepEngine::run(const SweepGrid& grid) {
     }
     tasks = std::move(remaining);
   }
+
+  // Longest-first dispatch: lanes claim tasks from the front, so the costly
+  // tasks start first and the run does not end on one lane finishing a
+  // costly straggler. Cost per batch in substrate forward passes: the
+  // attack's forward calls times the forward multiplier of the arm it
+  // queries, plus its backward calls, plus the measuring forward on the
+  // eval arm; a clean task is that last forward alone. The stable sort keeps
+  // ties in canonical order, so the order is a pure function of the grid —
+  // and payloads never depend on it (per-cell seeds come from coordinates).
+  auto task_cost = [&](const Task& task) -> int64_t {
+    const auto forward_mult = [&](size_t pool) {
+      return pools_[pool]->defense->forward_multiplier();
+    };
+    if (task.clean) return forward_mult(task.pool);
+    const SweepCell& cell = result.cells[task.cell];
+    const ModeIdx& mi = mode_pools[cell.mode];
+    const attacks::Attack& attack = *attack_arms[cell.attack];
+    const attacks::AttackPasses p = attack.passes();
+    const size_t queried = attack.gradient_free() ? mi.eval : mi.grad;
+    return p.forward * forward_mult(queried) + p.backward +
+           forward_mult(mi.eval);
+  };
+  std::stable_sort(tasks.begin(), tasks.end(),
+                   [&](const Task& a, const Task& b) {
+                     return task_cost(a) > task_cost(b);
+                   });
 
   lanes_ = opts_.threads != 0
                ? opts_.threads

@@ -92,20 +92,26 @@ Tensor BatchNorm2d::do_backward(const Tensor& grad_out) {
   const int64_t plane = h * w;
   const auto m = static_cast<float>(n * plane);
   Tensor grad_in(grad_out.shape());
+  const bool param_grads = param_grads_enabled();
 
   for (int64_t ci = 0; ci < c; ++ci) {
-    // Reductions over the channel: sum(dy), sum(dy * x_hat)
+    // Reductions over the channel: sum(dy), sum(dy * x_hat) — needed by the
+    // parameter gradients and the training-mode dx, by nothing else.
     double sum_dy = 0.0, sum_dy_xhat = 0.0;
-    for (int64_t ni = 0; ni < n; ++ni) {
-      const float* dy = grad_out.data() + (ni * c + ci) * plane;
-      const float* xh = x_hat_.data() + (ni * c + ci) * plane;
-      for (int64_t i = 0; i < plane; ++i) {
-        sum_dy += dy[i];
-        sum_dy_xhat += static_cast<double>(dy[i]) * xh[i];
+    if (param_grads || forward_was_training_) {
+      for (int64_t ni = 0; ni < n; ++ni) {
+        const float* dy = grad_out.data() + (ni * c + ci) * plane;
+        const float* xh = x_hat_.data() + (ni * c + ci) * plane;
+        for (int64_t i = 0; i < plane; ++i) {
+          sum_dy += dy[i];
+          sum_dy_xhat += static_cast<double>(dy[i]) * xh[i];
+        }
       }
     }
-    gamma_.grad[ci] += static_cast<float>(sum_dy_xhat);
-    beta_.grad[ci] += static_cast<float>(sum_dy);
+    if (param_grads) {
+      gamma_.grad[ci] += static_cast<float>(sum_dy_xhat);
+      beta_.grad[ci] += static_cast<float>(sum_dy);
+    }
 
     const float g = gamma_.value[ci];
     const float is = inv_std_[ci];

@@ -1,12 +1,8 @@
 #include "nn/conv2d.hpp"
 
-#include <atomic>
 #include <stdexcept>
-#include <vector>
 
 #include "core/engine_registry.hpp"
-#include "core/gemm.hpp"
-#include "core/thread_pool.hpp"
 
 namespace rhw::nn {
 
@@ -48,59 +44,16 @@ Tensor Conv2d::do_forward(const Tensor& x) {
 }
 
 Tensor Conv2d::do_backward(const Tensor& grad_out) {
-  const int64_t n = input_.dim(0);
-  const int64_t oh = geom_.out_h(), ow = geom_.out_w();
-  const int64_t col_rows = geom_.col_rows(), col_cols = geom_.col_cols();
-  const int64_t in_stride = in_c_ * geom_.in_h * geom_.in_w;
-  const int64_t out_stride = out_c_ * oh * ow;
-
+  // Fused batched path, the adjoint of do_forward: one wide W^T GEMM per
+  // chunk for the input gradient, and dW/db over the engine's fixed sample
+  // groups — skipped entirely inside ParamGradsDisabledScope (attacks).
   Tensor grad_in(input_.shape());
-
-  // Per-chunk partial accumulators for dW / db, reduced at the end.
-  const unsigned max_chunks = global_pool().size() + 2;
-  std::vector<Tensor> w_partials;
-  std::vector<Tensor> b_partials;
-  w_partials.reserve(max_chunks);
-  b_partials.reserve(max_chunks);
-  for (unsigned i = 0; i < max_chunks; ++i) {
-    w_partials.emplace_back(weight_.value.shape());
-    b_partials.emplace_back(Shape{out_c_});
-  }
-  std::atomic<unsigned> slot_counter{0};
-
-  parallel_for(n, [&](int64_t begin, int64_t end) {
-    const unsigned slot = slot_counter.fetch_add(1);
-    Tensor& wp = w_partials.at(slot);
-    Tensor& bp = b_partials.at(slot);
-    std::vector<float> cols(static_cast<size_t>(col_rows * col_cols));
-    std::vector<float> dcols(static_cast<size_t>(col_rows * col_cols));
-    for (int64_t i = begin; i < end; ++i) {
-      const float* gout = grad_out.data() + i * out_stride;
-      // dW += gout [out_c, col_cols] * cols^T [col_cols, col_rows]
-      im2col(geom_, input_.data() + i * in_stride, cols.data());
-      gemm(false, true, out_c_, col_rows, col_cols, 1.f, gout, col_cols,
-           cols.data(), col_cols, 1.f, wp.data(), col_rows);
-      // dcols = W^T [col_rows, out_c] * gout [out_c, col_cols]
-      gemm(true, false, col_rows, col_cols, out_c_, 1.f,
-           weight_.value.data(), col_rows, gout, col_cols, 0.f, dcols.data(),
-           col_cols);
-      col2im(geom_, dcols.data(), grad_in.data() + i * in_stride);
-      if (has_bias_) {
-        for (int64_t oc = 0; oc < out_c_; ++oc) {
-          const float* plane = gout + oc * oh * ow;
-          double acc = 0.0;
-          for (int64_t p = 0; p < oh * ow; ++p) acc += plane[p];
-          bp[oc] += static_cast<float>(acc);
-        }
-      }
-    }
-  });
-
-  const unsigned used = slot_counter.load();
-  for (unsigned s = 0; s < used; ++s) {
-    weight_.grad.add_(w_partials[s]);
-    if (has_bias_) bias_.grad.add_(b_partials[s]);
-  }
+  const bool param_grads = param_grads_enabled();
+  core::active_engine().conv2d_backward(
+      geom_, input_.dim(0), input_.data(), out_c_, weight_.value.data(),
+      grad_out.data(), grad_in.data(),
+      param_grads ? weight_.grad.data() : nullptr,
+      param_grads && has_bias_ ? bias_.grad.data() : nullptr);
   return grad_in;
 }
 

@@ -43,13 +43,15 @@ Tensor Linear::do_forward(const Tensor& x) {
 
 Tensor Linear::do_backward(const Tensor& grad_out) {
   const int64_t n = input_.dim(0);
-  // dW += gout^T [out, n] * x [n, in]
-  gemm(true, false, out_f_, in_f_, n, 1.f, grad_out.data(), out_f_,
-       input_.data(), in_f_, 1.f, weight_.grad.data(), in_f_);
-  if (has_bias_) {
-    for (int64_t i = 0; i < n; ++i) {
-      const float* row = grad_out.data() + i * out_f_;
-      for (int64_t j = 0; j < out_f_; ++j) bias_.grad[j] += row[j];
+  if (param_grads_enabled()) {
+    // dW += gout^T [out, n] * x [n, in]
+    gemm(true, false, out_f_, in_f_, n, 1.f, grad_out.data(), out_f_,
+         input_.data(), in_f_, 1.f, weight_.grad.data(), in_f_);
+    if (has_bias_) {
+      for (int64_t i = 0; i < n; ++i) {
+        const float* row = grad_out.data() + i * out_f_;
+        for (int64_t j = 0; j < out_f_; ++j) bias_.grad[j] += row[j];
+      }
     }
   }
   // dx = gout [n, out] * W [out, in]

@@ -12,6 +12,9 @@ namespace {
 // chunks and never consult this flag — so per-thread gating is exactly the
 // per-cell gating the scheduler needs.
 thread_local bool g_hooks_enabled = true;
+// Same thread-locality argument: layers read it on the thread driving their
+// backward pass, before handing work to the pool.
+thread_local bool g_param_grads_enabled = true;
 }  // namespace
 
 Tensor Module::forward(const Tensor& x) {
@@ -43,6 +46,17 @@ Module::HooksDisabledScope::HooksDisabledScope() : previous_(g_hooks_enabled) {
 
 Module::HooksDisabledScope::~HooksDisabledScope() {
   g_hooks_enabled = previous_;
+}
+
+bool Module::param_grads_enabled() { return g_param_grads_enabled; }
+
+Module::ParamGradsDisabledScope::ParamGradsDisabledScope()
+    : previous_(g_param_grads_enabled) {
+  g_param_grads_enabled = false;
+}
+
+Module::ParamGradsDisabledScope::~ParamGradsDisabledScope() {
+  g_param_grads_enabled = previous_;
 }
 
 namespace {

@@ -3,7 +3,8 @@
 // Modules cache whatever forward state their backward pass needs, so the usage
 // contract is: forward(batch) immediately followed by backward(grad) on the
 // same batch. backward() returns the gradient w.r.t. the module input and
-// accumulates parameter gradients into Param::grad.
+// accumulates parameter gradients into Param::grad (unless a
+// ParamGradsDisabledScope is open on the calling thread).
 //
 // Post-forward hooks model hardware noise on stored activations (hybrid 8T-6T
 // SRAM activation memories, DESIGN.md). Hooks mutate the forward output in
@@ -121,6 +122,26 @@ class Module {
     ~HooksDisabledScope();
     HooksDisabledScope(const HooksDisabledScope&) = delete;
     HooksDisabledScope& operator=(const HooksDisabledScope&) = delete;
+
+   private:
+    bool previous_;
+  };
+
+  // -- parameter-gradient gating (thread-local) -------------------------------
+  static bool param_grads_enabled();
+  // RAII: inside the scope backward() computes the input gradient only —
+  // Conv2d, Linear and BatchNorm2d leave every Param::grad untouched and
+  // skip the work that would feed it (attacks::input_gradient opens one: an
+  // attack reads dL/dx and nothing else). Thread-local like the hook gate,
+  // so concurrent sweep cells and a training thread never see each other's
+  // setting.
+  class ParamGradsDisabledScope {
+   public:
+    ParamGradsDisabledScope();
+    ~ParamGradsDisabledScope();
+    ParamGradsDisabledScope(const ParamGradsDisabledScope&) = delete;
+    ParamGradsDisabledScope& operator=(const ParamGradsDisabledScope&) =
+        delete;
 
    private:
     bool previous_;

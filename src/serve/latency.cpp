@@ -1,5 +1,6 @@
 #include "serve/latency.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -32,6 +33,7 @@ uint64_t LatencyHistogram::bucket_high(size_t index) {
 
 void LatencyHistogram::record(uint64_t value_us) {
   ++counts_[index_of(value_us)];
+  if (count_ == 0 || value_us < min_) min_ = value_us;
   ++count_;
   if (value_us > max_) max_ = value_us;
   sum_ += static_cast<double>(value_us);
@@ -52,7 +54,7 @@ uint64_t LatencyHistogram::percentile(double p) const {
   for (size_t i = 0; i < counts_.size(); ++i) {
     cumulative += counts_[i];
     if (cumulative >= rank) {
-      return (bucket_low(i) + bucket_high(i)) / 2;
+      return std::clamp((bucket_low(i) + bucket_high(i)) / 2, min_, max_);
     }
   }
   return max_;  // unreachable: ranks are clamped to the recorded count

@@ -28,12 +28,16 @@ class LatencyHistogram {
   void record(uint64_t value_us);
 
   uint64_t count() const { return count_; }
+  uint64_t min() const { return min_; }   // exact, not bucketed; 0 when empty
   uint64_t max() const { return max_; }   // exact, not bucketed
   double mean() const;                    // exact (running sum)
 
   // Nearest-rank percentile estimate for p in [0, 100]: the midpoint of the
-  // bucket holding rank ceil(p/100 * count). Exact below 2^kSubBits us;
-  // relative error bounded by half a bucket width above. 0 when empty.
+  // bucket holding rank ceil(p/100 * count), clamped to the observed
+  // [min, max] — a bucket midpoint can lie past the largest (or below the
+  // smallest) recorded value, which no quantile of the data can. Exact below
+  // 2^kSubBits us; relative error bounded by half a bucket width above. 0
+  // when empty.
   uint64_t percentile(double p) const;
 
   static constexpr int kSubBits = 5;  // 32 sub-buckets per octave
@@ -50,6 +54,7 @@ class LatencyHistogram {
 
   std::vector<uint64_t> counts_;
   uint64_t count_ = 0;
+  uint64_t min_ = 0;
   uint64_t max_ = 0;
   double sum_ = 0.0;
 };

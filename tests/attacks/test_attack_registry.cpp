@@ -9,6 +9,12 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/rng.hpp"
+#include "nn/activations.hpp"
+#include "nn/init.hpp"
+#include "nn/linear.hpp"
+#include "nn/sequential.hpp"
+
 namespace rhw::attacks {
 namespace {
 
@@ -154,6 +160,68 @@ TEST(AttackRegistry, CustomAttackRegistration) {
   auto attack = make_attack("custom-fgsm");
   EXPECT_EQ(attack->name(), "FGSM");
   EXPECT_FLOAT_EQ(attack->epsilon(), 0.123f);
+}
+
+// Pass-through module counting the forward/backward calls an attack makes.
+// Its identity hook carries a seeder, so the net counts as stochastic and
+// EOT-PGD keeps every gradient sample (the declared upper bound).
+class CountingNet final : public nn::Module {
+ public:
+  explicit CountingNet(nn::Module& inner) : inner_(&inner) {
+    set_post_hook([](Tensor&) {}, /*gated=*/false, [](uint64_t) {});
+  }
+  std::vector<nn::Param*> parameters() override {
+    return inner_->parameters();
+  }
+  std::vector<nn::Module*> children() override { return {inner_}; }
+  std::string type_name() const override { return "CountingNet"; }
+  void set_training(bool training) override {
+    nn::Module::set_training(training);
+    inner_->set_training(training);
+  }
+
+  int64_t forwards = 0;
+  int64_t backwards = 0;
+
+ protected:
+  Tensor do_forward(const Tensor& x) override {
+    ++forwards;
+    return inner_->forward(x);
+  }
+  Tensor do_backward(const Tensor& grad_out) override {
+    ++backwards;
+    return inner_->backward(grad_out);
+  }
+
+ private:
+  nn::Module* inner_;
+};
+
+// The sweep scheduler prices cells with Attack::passes(); the declared
+// counts must be the calls perturb() really makes, for every key.
+TEST(AttackRegistry, DeclaredPassesMatchCountedCalls) {
+  nn::Sequential net;
+  net.emplace<nn::Linear>(8, 16);
+  net.emplace<nn::ReLU>();
+  net.emplace<nn::Linear>(16, 3);
+  rhw::RandomEngine rng(21);
+  nn::kaiming_init(net, rng);
+  const Tensor x = Tensor::rand_uniform({4, 8}, rng, 0.2f, 0.8f);
+  const std::vector<int64_t> labels{0, 1, 2, 0};
+
+  for (const std::string& key : AttackRegistry::instance().keys()) {
+    const AttackPtr attack = make_attack(key);
+    CountingNet counted(net);
+    AttackContext ctx;
+    ctx.grad_net = &counted;
+    ctx.eval_net = &counted;
+    ctx.seed = 5;
+    (void)attack->perturb(ctx, x, labels);
+    const AttackPasses declared = attack->passes();
+    EXPECT_EQ(counted.forwards, declared.forward) << key;
+    EXPECT_EQ(counted.backwards, declared.backward) << key;
+    EXPECT_GT(declared.forward, 0) << key;
+  }
 }
 
 }  // namespace

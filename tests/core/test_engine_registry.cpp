@@ -278,7 +278,7 @@ void conv_reference(const ConvGeom& g, int64_t batch, const float* input,
   std::vector<float> cols(static_cast<size_t>(cr * cc));
   auto naive = core::make_engine("naive");
   for (int64_t i = 0; i < batch; ++i) {
-    im2col(g, input + i * in_sz, cols.data());
+    im2col(g, input + i * in_sz, cols.data(), cc);
     float* dst = out + i * out_c * cc;
     naive->gemm(false, false, out_c, cc, cr, 1.f, weights, cr, cols.data(), cc,
                 0.f, dst, cc);
@@ -354,6 +354,92 @@ TEST(EngineConv, ChunkingInvariance) {
                            single.data() + i * per_sample);
   }
   ASSERT_EQ(whole, single);
+}
+
+// Per-sample reference backward in double precision: dX through W^T and
+// col2im, dW and db summed over every sample.
+void conv_backward_reference(const ConvGeom& g, int64_t batch,
+                             const float* input, int64_t out_c,
+                             const float* weights, const float* grad_out,
+                             std::vector<double>& grad_in,
+                             std::vector<double>& grad_w,
+                             std::vector<double>& grad_b) {
+  const int64_t cr = g.col_rows(), cc = g.col_cols();
+  const int64_t in_sz = g.in_c * g.in_h * g.in_w;
+  grad_in.assign(static_cast<size_t>(batch * in_sz), 0.0);
+  grad_w.assign(static_cast<size_t>(out_c * cr), 0.0);
+  grad_b.assign(static_cast<size_t>(out_c), 0.0);
+  std::vector<float> cols(static_cast<size_t>(cr * cc));
+  std::vector<float> dcols(cols.size());
+  std::vector<float> dx(static_cast<size_t>(in_sz));
+  for (int64_t i = 0; i < batch; ++i) {
+    const float* go = grad_out + i * out_c * cc;
+    im2col(g, input + i * in_sz, cols.data(), cc);
+    for (int64_t oc = 0; oc < out_c; ++oc) {
+      for (int64_t p = 0; p < cc; ++p) {
+        const double v = go[oc * cc + p];
+        grad_b[static_cast<size_t>(oc)] += v;
+        for (int64_t r = 0; r < cr; ++r) {
+          grad_w[static_cast<size_t>(oc * cr + r)] += v * cols[r * cc + p];
+        }
+      }
+    }
+    for (int64_t r = 0; r < cr; ++r) {
+      for (int64_t p = 0; p < cc; ++p) {
+        double acc = 0.0;
+        for (int64_t oc = 0; oc < out_c; ++oc) {
+          acc += static_cast<double>(weights[oc * cr + r]) * go[oc * cc + p];
+        }
+        dcols[r * cc + p] = static_cast<float>(acc);
+      }
+    }
+    std::fill(dx.begin(), dx.end(), 0.f);
+    col2im(g, dcols.data(), dx.data(), cc);
+    for (int64_t j = 0; j < in_sz; ++j) {
+      grad_in[static_cast<size_t>(i * in_sz + j)] = dx[j];
+    }
+  }
+}
+
+// 16x16 outputs make kConvGradGroupCols / 256 = 8-sample groups, so a batch
+// of 20 reduces dW over three groups (8, 8, 4).
+TEST_P(EngineConv, FusedBackwardMatchesPerSampleReference) {
+  auto engine = core::make_engine(GetParam());
+  const ConvGeom g{3, 16, 16, 3, 3, 1, 1};
+  const int64_t batch = 20, out_c = 5;
+  ASSERT_EQ(core::kConvGradGroupCols / g.col_cols(), 8);
+  RandomEngine rng(71);
+  const auto input = random_matrix(batch, g.in_c * g.in_h * g.in_w, rng);
+  const auto weights = random_matrix(out_c, g.col_rows(), rng);
+  const auto grad_out = random_matrix(batch, out_c * g.col_cols(), rng);
+  std::vector<double> ref_in, ref_w, ref_b;
+  conv_backward_reference(g, batch, input.data(), out_c, weights.data(),
+                          grad_out.data(), ref_in, ref_w, ref_b);
+
+  // grad_in is overwritten; grad_w / grad_b accumulate onto what is there.
+  std::vector<float> grad_in(ref_in.size(), -9.f);
+  std::vector<float> grad_w(ref_w.size(), 1.f);
+  std::vector<float> grad_b(ref_b.size(), 1.f);
+  engine->conv2d_backward(g, batch, input.data(), out_c, weights.data(),
+                          grad_out.data(), grad_in.data(), grad_w.data(),
+                          grad_b.data());
+  for (size_t i = 0; i < grad_in.size(); ++i) {
+    ASSERT_NEAR(grad_in[i], ref_in[i], flop_tol(out_c * 9)) << "dX " << i;
+  }
+  const float w_tol = flop_tol(batch * g.col_cols());
+  for (size_t i = 0; i < grad_w.size(); ++i) {
+    ASSERT_NEAR(grad_w[i], 1.0 + ref_w[i], w_tol) << "dW " << i;
+  }
+  for (size_t i = 0; i < grad_b.size(); ++i) {
+    ASSERT_NEAR(grad_b[i], 1.0 + ref_b[i], w_tol) << "db " << i;
+  }
+
+  // The null-dW form computes the same input gradient, bit for bit.
+  std::vector<float> grad_in_only(ref_in.size(), -9.f);
+  engine->conv2d_backward(g, batch, nullptr, out_c, weights.data(),
+                          grad_out.data(), grad_in_only.data(), nullptr,
+                          nullptr);
+  EXPECT_EQ(grad_in_only, grad_in);
 }
 
 // -- active-engine selection --------------------------------------------------

@@ -230,5 +230,48 @@ TEST_F(ResumeTest, ResumeWithoutJournalRunsEverything) {
   fs::remove(journal);
 }
 
+// Longest-first dispatch: one lane runs tasks in dispatch order, so the
+// journal records that order. Costs in forward passes per batch (attack
+// forwards x queried arm's multiplier + backwards + the measuring forward):
+// Smooth/square 4*8+8 = 40, Smooth/fgsm 1+1+8 = 10, the smooth clean pass 8,
+// SW/square 4+1 = 5, SW/fgsm 1+1+1 = 3, the ideal clean pass 1. The
+// canonical order would start with the ideal clean pass instead.
+TEST_F(ResumeTest, OneLaneJournalsCostliestTaskFirst) {
+  const std::string journal = temp_journal("rhw_resume_order.jsonl");
+  fs::remove(journal);
+  SweepGrid grid = make_grid();
+  grid.trials = 1;
+  grid.backends = {{"ideal", "ideal"},
+                   {"smooth", "ideal", "smooth:sigma=0.25,samples=8"}};
+  grid.modes = {{"Attack-SW", "ideal", "ideal"},
+                {"Smooth", "ideal", "smooth"}};
+  grid.attacks = {{"square:queries=4", {0.1f}}, {"fgsm", {0.1f}}};
+
+  SweepEngine::Options opt;
+  opt.threads = 1;
+  opt.journal_path = journal;
+  opt.journal_header = kHeader;
+  SweepEngine engine(opt);
+  (void)engine.run(grid);
+
+  const std::vector<JournalEntry> entries = load_journal(journal, kHeader);
+  ASSERT_EQ(entries.size(), 6u);
+  // Canonical cell indices: SW/square 0, SW/fgsm 1, Smooth/square 2,
+  // Smooth/fgsm 3.
+  EXPECT_FALSE(entries[0].clean);
+  EXPECT_EQ(entries[0].index, 2u);
+  EXPECT_FALSE(entries[1].clean);
+  EXPECT_EQ(entries[1].index, 3u);
+  EXPECT_TRUE(entries[2].clean);
+  EXPECT_EQ(entries[2].pool, "smooth");
+  EXPECT_FALSE(entries[3].clean);
+  EXPECT_EQ(entries[3].index, 0u);
+  EXPECT_FALSE(entries[4].clean);
+  EXPECT_EQ(entries[4].index, 1u);
+  EXPECT_TRUE(entries[5].clean);
+  EXPECT_EQ(entries[5].pool, "ideal");
+  fs::remove(journal);
+}
+
 }  // namespace
 }  // namespace rhw::exp

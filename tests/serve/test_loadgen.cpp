@@ -179,6 +179,7 @@ TEST(LatencyHistogram, MeanIsExactAndEmptyReportsZero) {
   EXPECT_EQ(empty.count(), 0u);
   EXPECT_EQ(empty.percentile(50.0), 0u);
   EXPECT_EQ(empty.max(), 0u);
+  EXPECT_EQ(empty.min(), 0u);
   EXPECT_DOUBLE_EQ(empty.mean(), 0.0);
 
   LatencyHistogram hist;
@@ -187,6 +188,33 @@ TEST(LatencyHistogram, MeanIsExactAndEmptyReportsZero) {
   hist.record(40);
   EXPECT_DOUBLE_EQ(hist.mean(), (10.0 + 1000000.0 + 40.0) / 3.0);
   EXPECT_EQ(hist.max(), 1000000u);
+}
+
+// Regression: 2176..2239 is one 64-us bucket whose midpoint is 2207, so an
+// unclamped estimate reported p99 = 2207 us above the recorded max of
+// 2197 us (and, for a lone value, a percentile above every sample).
+TEST(LatencyHistogram, PercentilesStayWithinObservedMinMax) {
+  LatencyHistogram hist;
+  for (const uint64_t v : {2180u, 2190u, 2197u}) hist.record(v);
+  EXPECT_EQ(hist.min(), 2180u);
+  EXPECT_EQ(hist.max(), 2197u);
+  EXPECT_EQ(hist.percentile(99.0), 2197u);
+  EXPECT_EQ(hist.percentile(100.0), 2197u);
+
+  LatencyHistogram lone;
+  lone.record(2180);
+  for (const double p : {0.0, 50.0, 99.0, 100.0}) {
+    EXPECT_EQ(lone.percentile(p), 2180u) << "p" << p;
+  }
+
+  // Broad data: every estimate lies inside [min, max].
+  LatencyHistogram wide;
+  RandomEngine rng(derive_stream_seed(0xADE5, 3));
+  for (int i = 0; i < 5000; ++i) wide.record(1000 + rng.next_u64() % 50000);
+  for (const double p : {0.0, 1.0, 50.0, 99.0, 99.9, 100.0}) {
+    EXPECT_GE(wide.percentile(p), wide.min()) << "p" << p;
+    EXPECT_LE(wide.percentile(p), wide.max()) << "p" << p;
+  }
 }
 
 }  // namespace
