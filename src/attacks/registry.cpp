@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
 #include "attacks/fgsm.hpp"
@@ -170,54 +169,16 @@ AttackPtr make_square(const AttackOptions& opts) {
 
 }  // namespace
 
-AttackRegistry::AttackRegistry() {
-  factories_["fgsm"] = make_fgsm;
-  factories_["pgd"] = [](const AttackOptions& opts) {
+void AttackDomain::register_builtins(AttackRegistry& registry) {
+  registry.add("fgsm", make_fgsm);
+  registry.add("pgd", [](const AttackOptions& opts) {
     return make_pgd_family("pgd", opts, /*eot=*/false);
-  };
-  factories_["eot_pgd"] = [](const AttackOptions& opts) {
+  });
+  registry.add("eot_pgd", [](const AttackOptions& opts) {
     return make_pgd_family("eot_pgd", opts, /*eot=*/true);
-  };
-  factories_["mifgsm"] = make_mifgsm;
-  factories_["square"] = make_square;
-}
-
-AttackRegistry& AttackRegistry::instance() {
-  static AttackRegistry registry;
-  return registry;
-}
-
-void AttackRegistry::add(const std::string& key, AttackFactory factory) {
-  factories_[key] = std::move(factory);
-}
-
-bool AttackRegistry::contains(const std::string& key) const {
-  return factories_.count(key) > 0;
-}
-
-std::vector<std::string> AttackRegistry::keys() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [key, factory] : factories_) out.push_back(key);
-  return out;
-}
-
-AttackPtr AttackRegistry::create(const std::string& spec) const {
-  const core::ParsedSpec parsed = core::parse_spec("attack", spec);
-  const auto it = factories_.find(parsed.key);
-  if (it == factories_.end()) {
-    std::ostringstream os;
-    os << "unknown attack '" << parsed.key << "'; registered:";
-    for (const auto& [name, factory] : factories_) os << ' ' << name;
-    throw std::invalid_argument(os.str());
-  }
-  try {
-    return it->second(parsed.options);
-  } catch (const std::invalid_argument& e) {
-    // Factories report the offending option key/value; add the full spec so
-    // errors surfacing far from the call site stay actionable.
-    throw std::invalid_argument("attack spec '" + spec + "': " + e.what());
-  }
+  });
+  registry.add("mifgsm", make_mifgsm);
+  registry.add("square", make_square);
 }
 
 AttackPtr make_attack(const std::string& spec) {

@@ -31,16 +31,18 @@
 //
 // Unknown keys and unknown options throw std::invalid_argument naming the
 // offending token and the full spec. Downstream code can register additional
-// attacks (registry().add) under new keys. The other two seams speak the
-// same grammar: hw::BackendRegistry (hw/registry.hpp) for substrates,
-// defenses::DefenseRegistry (defenses/registry.hpp) for defenses.
+// attacks under new keys with AttackRegistry::instance().add(key, factory).
+// All six seams speak the same grammar and share one lookup and error
+// contract (core/registry.hpp); hw::BackendRegistry (hw/registry.hpp) is the
+// substrate axis and defenses::DefenseRegistry (defenses/registry.hpp) the
+// defense axis.
 #pragma once
 
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "attacks/attack.hpp"
+#include "core/registry.hpp"
 #include "core/spec.hpp"
 
 namespace rhw::attacks {
@@ -50,25 +52,19 @@ namespace rhw::attacks {
 using AttackOptions = core::SpecOptions;
 using AttackFactory = std::function<AttackPtr(const AttackOptions&)>;
 
-class AttackRegistry {
- public:
-  // Process-wide registry, built-ins registered on first use.
-  static AttackRegistry& instance();
+struct AttackDomain {
+  using Product = AttackPtr;
+  using Factory = AttackFactory;
+  static constexpr const char* kDomain = "attack";
+  static constexpr const char* kNoun = "attack";
+  // fgsm, pgd, eot_pgd, mifgsm, square (attacks/registry.cpp).
+  static void register_builtins(core::Registry<AttackDomain>& registry);
 
-  // Registers (or replaces) a factory under `key`.
-  void add(const std::string& key, AttackFactory factory);
-  bool contains(const std::string& key) const;
-  std::vector<std::string> keys() const;
-
-  // Parses "<key>[:opt=v,...]" and invokes the factory. Throws
-  // std::invalid_argument on an empty spec, an unknown key, an unknown
-  // option, or a malformed value — always naming the offending token.
-  AttackPtr create(const std::string& spec) const;
-
- private:
-  AttackRegistry();
-  std::map<std::string, AttackFactory> factories_;
+ protected:
+  AttackDomain() = default;  // exists only as the registry's base
 };
+
+using AttackRegistry = core::Registry<AttackDomain>;
 
 // Shorthand for AttackRegistry::instance().create(spec).
 AttackPtr make_attack(const std::string& spec);

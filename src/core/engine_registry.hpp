@@ -1,6 +1,5 @@
-// String-keyed factory for compute engines — the fifth registry seam, after
-// hw::BackendRegistry, attacks::AttackRegistry, defenses::DefenseRegistry and
-// exp::ExperimentRegistry. Same core/spec grammar, same token-naming error
+// String-keyed factory for compute engines, one of the six registry seams
+// (core/registry.hpp). Same core/spec grammar, same token-naming error
 // contract:
 //
 //   auto engine = core::make_engine("simd:mr=6,nr=16");
@@ -26,11 +25,10 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <string>
-#include <vector>
 
 #include "core/engine.hpp"
+#include "core/registry.hpp"
 #include "core/spec.hpp"
 
 namespace rhw::core {
@@ -38,23 +36,19 @@ namespace rhw::core {
 using EngineOptions = SpecOptions;
 using EngineFactory = std::function<EnginePtr(const EngineOptions&)>;
 
-class EngineRegistry {
- public:
-  // Process-wide registry, built-ins registered on first use.
-  static EngineRegistry& instance();
+struct EngineDomain {
+  using Product = EnginePtr;
+  using Factory = EngineFactory;
+  static constexpr const char* kDomain = "engine";
+  static constexpr const char* kNoun = "compute engine";
+  // naive, blocked, simd (core/engine_registry.cpp).
+  static void register_builtins(Registry<EngineDomain>& registry);
 
-  // Registers (or replaces) a factory under `key`.
-  void add(const std::string& key, EngineFactory factory);
-  bool contains(const std::string& key) const;
-  std::vector<std::string> keys() const;
-
-  // Parses "<key>[:opt=v,...]" and invokes the factory.
-  EnginePtr create(const std::string& spec) const;
-
- private:
-  EngineRegistry();
-  std::map<std::string, EngineFactory> factories_;
+ protected:
+  EngineDomain() = default;  // exists only as the registry's base
 };
+
+using EngineRegistry = Registry<EngineDomain>;
 
 // Shorthand for EngineRegistry::instance().create(spec).
 EnginePtr make_engine(const std::string& spec);

@@ -1,21 +1,21 @@
 // Shared "<key>[:opt=value,opt=value,...]" spec-string parsing.
 //
-// Both registries in the repo — hw::BackendRegistry ("xbar:size=32,rmin=10e3")
-// and attacks::AttackRegistry ("pgd:steps=7,alpha=0.01") — speak the same
-// grammar and report errors the same way. This header is the single
-// implementation behind them: parse_spec splits the key from its options, and
-// OptionReader pulls typed option values while tracking leftovers so
-// factories can reject unknown options by name.
+// All six registry seams (core/registry.hpp) speak this grammar, from
+// hw::BackendRegistry ("xbar:size=32,rmin=10e3") to attacks::AttackRegistry
+// ("pgd:steps=7,alpha=0.01"). This header is the single implementation
+// behind them: parse_spec splits the key from its options, and OptionReader
+// pulls typed option values while tracking leftovers so factories can reject
+// unknown options by name.
 //
-// Error-reporting contract (asserted by tests/hw/test_registry.cpp and
-// tests/attacks/test_attack_registry.cpp): every std::invalid_argument names
-// the offending option key and raw value text, e.g.
+// Error-reporting contract (asserted by tests/core/test_registry.cpp): every
+// std::invalid_argument names the offending option key and raw value text,
+// e.g.
 //
 //   backend option rmin: bad number 'abc'
 //   attack pgd: unknown option(s): stpes
 //
-// Registries wrap these with the full spec string at the create() call site
-// so errors surfacing far away stay actionable.
+// core::Registry::create() wraps these with the full spec string so errors
+// surfacing far away stay actionable.
 #pragma once
 
 #include <map>

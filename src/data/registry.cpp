@@ -3,7 +3,6 @@
 #include <cctype>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 
 #include "data/corruptions.hpp"
@@ -191,61 +190,32 @@ CorruptionConfig parse_corrupt_wrapper(const std::string& wrapper) {
 
 }  // namespace
 
-DatasetRegistry::DatasetRegistry() {
-  factories_["synth-c10"] = make_synth_c10;
-  factories_["synth-c100"] = make_synth_c100;
-  factories_["tiny"] = make_tiny;
-  factories_["synth_cifar"] = make_synth_cifar_provider;
-  factories_["cifar10"] = make_cifar10;
-  factories_["mnist"] = make_mnist;
+void DatasetDomain::register_builtins(DatasetRegistry& registry) {
+  registry.add("synth-c10", make_synth_c10);
+  registry.add("synth-c100", make_synth_c100);
+  registry.add("tiny", make_tiny);
+  registry.add("synth_cifar", make_synth_cifar_provider);
+  registry.add("cifar10", make_cifar10);
+  registry.add("mnist", make_mnist);
 }
 
-DatasetRegistry& DatasetRegistry::instance() {
-  static DatasetRegistry registry;
-  return registry;
-}
-
-void DatasetRegistry::add(const std::string& key, DatasetFactory factory) {
-  factories_[key] = std::move(factory);
-}
-
-bool DatasetRegistry::contains(const std::string& key) const {
-  return factories_.count(key) > 0;
-}
-
-std::vector<std::string> DatasetRegistry::keys() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [key, factory] : factories_) out.push_back(key);
-  return out;
-}
-
-DatasetPtr DatasetRegistry::create(const std::string& spec) const {
+DatasetPtr make_dataset_provider(const std::string& spec) {
+  // Registry::create's steps on the base spec, with the corruption wrapper
+  // applied inside the same error scope so its errors name the full spec.
   const auto [base_spec, wrapper] = split_corrupt_spec(spec);
   const core::ParsedSpec parsed = core::parse_spec("dataset", base_spec);
-  const auto it = factories_.find(parsed.key);
-  if (it == factories_.end()) {
-    std::ostringstream os;
-    os << "unknown dataset '" << parsed.key << "'; registered:";
-    for (const auto& [name, factory] : factories_) os << ' ' << name;
-    throw std::invalid_argument(os.str());
-  }
+  const DatasetFactory& factory =
+      DatasetRegistry::instance().lookup(parsed.key);
   try {
-    DatasetPtr provider = it->second(parsed.options);
+    DatasetPtr provider = factory(parsed.options);
     if (!wrapper.empty()) {
       provider = std::make_unique<CorruptProvider>(
           std::move(provider), parse_corrupt_wrapper(wrapper));
     }
     return provider;
   } catch (const std::invalid_argument& e) {
-    // Factories report the offending option key/value; add the full spec so
-    // errors surfacing far from the call site stay actionable.
     throw std::invalid_argument("dataset spec '" + spec + "': " + e.what());
   }
-}
-
-DatasetPtr make_dataset_provider(const std::string& spec) {
-  return DatasetRegistry::instance().create(spec);
 }
 
 const SynthCifar& load_dataset(const std::string& spec) {

@@ -1,4 +1,5 @@
-// String-keyed factory for datasets — the sixth seam.
+// String-keyed factory for datasets, one of the six registry seams
+// (core/registry.hpp).
 //
 // Every experiment panel names its data by config string instead of
 // hand-wiring generator calls:
@@ -6,8 +7,8 @@
 //   const data::SynthCifar& ds = data::load_dataset("cifar10:dir=data/cifar");
 //
 // Spec grammar: "<key>" or "<key>:<opt>=<value>,..." — the same core/spec
-// grammar and token-naming error contract as the hardware / attack / defense /
-// engine / experiment registries. Built-in keys and their options:
+// grammar and token-naming error contract as the other five seams. Built-in
+// keys and their options:
 //
 //   synth-c10    (no options) — the paper's CIFAR-10 stand-in
 //   synth-c100   (no options) — the paper's CIFAR-100 stand-in
@@ -38,19 +39,19 @@
 // repeated presets in one process) share one in-memory copy.
 //
 // Unknown keys and unknown options throw std::invalid_argument. Downstream
-// code can register additional datasets (DatasetRegistry::add) under new
-// keys. docs/DATASETS.md documents every key, knob and the corruption
-// grammar; parity between that doc and this registry is CI-enforced
-// (tools/rhw_lint.cpp), like the other five seams.
+// code can register additional datasets under new keys with
+// DatasetRegistry::instance().add(key, factory); the corruption wrapper
+// composes around any of them. docs/DATASETS.md documents every key, knob and
+// the corruption grammar; parity between that doc and this registry is
+// CI-enforced (tools/rhw_lint.cpp), like the other five seams.
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
+#include "core/registry.hpp"
 #include "core/spec.hpp"
 #include "data/synth_cifar.hpp"
 
@@ -72,26 +73,27 @@ using DatasetPtr = std::unique_ptr<DatasetProvider>;
 using DatasetOptions = core::SpecOptions;
 using DatasetFactory = std::function<DatasetPtr(const DatasetOptions&)>;
 
-class DatasetRegistry {
- public:
-  // Process-wide registry, built-ins registered on first use.
-  static DatasetRegistry& instance();
+struct DatasetDomain {
+  using Product = DatasetPtr;
+  using Factory = DatasetFactory;
+  static constexpr const char* kDomain = "dataset";
+  static constexpr const char* kNoun = "dataset";
+  // synth-c10, synth-c100, tiny, synth_cifar, cifar10, mnist
+  // (data/registry.cpp).
+  static void register_builtins(core::Registry<DatasetDomain>& registry);
 
-  // Registers (or replaces) a factory under `key`.
-  void add(const std::string& key, DatasetFactory factory);
-  bool contains(const std::string& key) const;
-  std::vector<std::string> keys() const;
-
-  // Parses "<key>[:opt=v,...][+corrupt:...]" and invokes the factory
-  // (wrapping it in the corruption provider when the spec asks for it).
-  DatasetPtr create(const std::string& spec) const;
-
- private:
-  DatasetRegistry();
-  std::map<std::string, DatasetFactory> factories_;
+ protected:
+  DatasetDomain() = default;  // exists only as the registry's base
 };
 
-// Shorthand for DatasetRegistry::instance().create(spec).
+// create() takes a base spec only; make_dataset_provider adds the
+// "+corrupt:" wrapper on top.
+using DatasetRegistry = core::Registry<DatasetDomain>;
+
+// Parses "<key>[:opt=v,...][+corrupt:...]": the base spec goes through
+// DatasetRegistry, and a corruption wrapper, when the spec asks for one,
+// wraps the base provider. Errors from the base factory or the wrapper carry
+// the full spec.
 DatasetPtr make_dataset_provider(const std::string& spec);
 
 // Loads through a process-wide cache keyed by canonical spec: the first call

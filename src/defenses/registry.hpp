@@ -1,5 +1,5 @@
-// String-keyed factory for defenses — the third seam, the twin of
-// hw::BackendRegistry and attacks::AttackRegistry.
+// String-keyed factory for defenses — the twin of hw::BackendRegistry and
+// attacks::AttackRegistry on the defense axis.
 //
 // Every harness, bench, and example selects its defense by config string
 // instead of hand-wiring wrapper modules or one-off sweep binders:
@@ -8,7 +8,7 @@
 //   defense->harden(model, ctx);                 // training-time phase
 //   auto wrapped = defense->wrap(*backend);      // inference-time phase
 //
-// Spec grammar (core/spec.hpp, shared with both other registries):
+// Spec grammar (core/spec.hpp, shared by all six seams):
 // "<key>" or "<key>:<opt>=<value>,...". Built-in keys and their options
 // (docs/DEFENSES.md has the full story, composition rules and which paper
 // figure each defense arm feeds):
@@ -33,16 +33,16 @@
 //                 calibration dataset (DefenseContext::calibration)
 //
 // Unknown keys and unknown options throw std::invalid_argument naming the
-// offending token and the full spec — the same error contract the other two
-// registries honor (tests/defenses/test_defense_registry.cpp asserts
-// parity). Downstream code can register additional defenses
-// (registry().add) under new keys.
+// offending token and the full spec — the error contract all six seams share
+// (core/registry.hpp; tests/core/test_registry.cpp asserts it). Downstream
+// code can register additional defenses under new keys with
+// DefenseRegistry::instance().add(key, factory).
 #pragma once
 
 #include <functional>
 #include <string>
-#include <vector>
 
+#include "core/registry.hpp"
 #include "core/spec.hpp"
 #include "defenses/defense.hpp"
 
@@ -53,25 +53,20 @@ namespace rhw::defenses {
 using DefenseOptions = core::SpecOptions;
 using DefenseFactory = std::function<DefensePtr(const DefenseOptions&)>;
 
-class DefenseRegistry {
- public:
-  // Process-wide registry, built-ins registered on first use.
-  static DefenseRegistry& instance();
+struct DefenseDomain {
+  using Product = DefensePtr;
+  using Factory = DefenseFactory;
+  static constexpr const char* kDomain = "defense";
+  static constexpr const char* kNoun = "defense";
+  // none, adv_train, smooth, jpeg_quant, gauss_aug, quanos
+  // (defenses/registry.cpp).
+  static void register_builtins(core::Registry<DefenseDomain>& registry);
 
-  // Registers (or replaces) a factory under `key`.
-  void add(const std::string& key, DefenseFactory factory);
-  bool contains(const std::string& key) const;
-  std::vector<std::string> keys() const;
-
-  // Parses "<key>[:opt=v,...]" and invokes the factory. Throws
-  // std::invalid_argument on an empty spec, an unknown key, an unknown
-  // option, or a malformed value — always naming the offending token.
-  DefensePtr create(const std::string& spec) const;
-
- private:
-  DefenseRegistry();
-  std::map<std::string, DefenseFactory> factories_;
+ protected:
+  DefenseDomain() = default;  // exists only as the registry's base
 };
+
+using DefenseRegistry = core::Registry<DefenseDomain>;
 
 // Shorthand for DefenseRegistry::instance().create(spec).
 DefensePtr make_defense(const std::string& spec);

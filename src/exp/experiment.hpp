@@ -18,7 +18,7 @@
 //              axis=      (clear)        modes=
 //
 // List item grammars (all built on core/spec.hpp parsing, all reporting
-// token-naming std::invalid_argument errors like the three registries):
+// token-naming std::invalid_argument errors like every registry seam):
 //
 //   backends   [key=]hw-spec[+defense-spec][@calib]
 //              "x32=xbar:size=32", "ideal+jpeg_quant:bits=4",
@@ -32,7 +32,7 @@
 //   panels     arch-spec/dataset-spec
 //              "vgg19/synth-c100", "vgg8:width=0.125,in=16/tiny:classes=10"
 //
-// A spec validates against all three registries up front (validate()),
+// A spec validates against the live registries up front (validate()),
 // round-trips through to_args() (the canonical override list that rebuilds
 // it from an empty spec — what rhw-sweep-v4 artifacts embed), and expands
 // into a SweepGrid by the rhw_run driver (exp/experiment_registry.hpp).

@@ -1106,7 +1106,7 @@ class AblationChipProgram final : public ExperimentProgram {
 
 }  // namespace
 
-void register_builtin_experiments(ExperimentRegistry& registry) {
+void ExperimentDomain::register_builtins(ExperimentRegistry& registry) {
   // Validation-time stand-ins for the methodology-registered keys: fig5 and
   // the config tables reference "sram_selected" / "sram_weight_noise" before
   // their setup() bakes in a real selection, and `rhw_run --list` must be

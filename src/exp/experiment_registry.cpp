@@ -17,50 +17,21 @@ namespace rhw::exp {
 
 // -- registry -----------------------------------------------------------------
 
-ExperimentRegistry::ExperimentRegistry() {
-  register_builtin_experiments(*this);
-}
-
-ExperimentRegistry& ExperimentRegistry::instance() {
-  static ExperimentRegistry registry;
-  return registry;
-}
-
-void ExperimentRegistry::add(const std::string& key, ExperimentFactory factory,
-                             ProgramFactory program) {
-  factories_[key] = {std::move(factory), std::move(program)};
-}
-
-bool ExperimentRegistry::contains(const std::string& key) const {
-  return factories_.count(key) > 0;
-}
-
-std::vector<std::string> ExperimentRegistry::keys() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [key, entry] : factories_) out.push_back(key);
-  return out;
-}
-
-ExperimentSpec ExperimentRegistry::preset(const std::string& key) const {
-  const auto it = factories_.find(key);
-  if (it == factories_.end()) {
-    std::ostringstream os;
-    os << "unknown experiment '" << key << "'; registered:";
-    for (const auto& [name, entry] : factories_) os << ' ' << name;
-    throw std::invalid_argument(os.str());
-  }
-  ExperimentSpec spec = it->second.factory();
+// ExperimentDomain's constructor is protected and ExperimentRegistry derives
+// from it, so *this is always the registry these members were called on.
+ExperimentSpec ExperimentDomain::preset(const std::string& key) const {
+  const auto& registry = static_cast<const ExperimentRegistry&>(*this);
+  ExperimentSpec spec = registry.lookup(key).spec();
   spec.name = key;
   if (spec.tag.empty()) spec.tag = key;
   return spec;
 }
 
-std::unique_ptr<ExperimentProgram> ExperimentRegistry::program(
+std::unique_ptr<ExperimentProgram> ExperimentDomain::program(
     const std::string& key) const {
-  const auto it = factories_.find(key);
-  if (it != factories_.end() && it->second.program) {
-    return it->second.program();
+  const auto& registry = static_cast<const ExperimentRegistry&>(*this);
+  if (registry.contains(key) && registry.lookup(key).program) {
+    return registry.lookup(key).program();
   }
   return std::make_unique<ExperimentProgram>();
 }

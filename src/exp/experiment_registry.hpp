@@ -8,9 +8,8 @@
 // registries' token-naming error contract, expands the spec into an
 // exp::SweepGrid per panel, executes it on exp::SweepEngine, and emits the
 // same table / ASCII-plot / BENCH_*.json artifacts the per-figure bench
-// binaries used to produce — which are now thin wrappers over
-// rhw_run_main(). The rhw-sweep-v4 artifact embeds the experiment spec, so
-// every result file records the exact command that reproduces it.
+// binaries used to produce. The rhw-sweep-v4 artifact embeds the experiment
+// spec, so every result file records the exact command that reproduces it.
 //
 // Presets keep their bench-specific presentation (paper-style tables, shape
 // checks, the Fig. 4 methodology setup) in an ExperimentProgram — hooks
@@ -22,8 +21,10 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/registry.hpp"
 #include "data/synth_cifar.hpp"
 #include "exp/experiment.hpp"
 #include "exp/sweep.hpp"
@@ -74,36 +75,40 @@ class ExperimentProgram {
 using ExperimentFactory = std::function<ExperimentSpec()>;
 using ProgramFactory = std::function<std::unique_ptr<ExperimentProgram>()>;
 
-class ExperimentRegistry {
- public:
-  // Process-wide registry, built-ins registered on first use.
-  static ExperimentRegistry& instance();
-
-  // Registers (or replaces) a preset. `program` may be null — the default
-  // ExperimentProgram then renders the run.
-  void add(const std::string& key, ExperimentFactory factory,
-           ProgramFactory program = nullptr);
-  bool contains(const std::string& key) const;
-  std::vector<std::string> keys() const;
-
-  // Resolves a preset to its spec. Throws std::invalid_argument on an
-  // unknown key, naming it and listing the registered presets — the same
-  // error contract as the other three registries.
-  ExperimentSpec preset(const std::string& key) const;
-  std::unique_ptr<ExperimentProgram> program(const std::string& key) const;
-
- private:
-  ExperimentRegistry();
-
-  struct Entry {
-    ExperimentFactory factory;
-    ProgramFactory program;
-  };
-  std::map<std::string, Entry> factories_;
+// One preset: its spec factory plus an optional program factory (null means
+// the default ExperimentProgram renders the run).
+struct ExperimentEntry {
+  explicit ExperimentEntry(ExperimentFactory spec,
+                           ProgramFactory program = nullptr)
+      : spec(std::move(spec)), program(std::move(program)) {}
+  ExperimentFactory spec;
+  ProgramFactory program;
 };
 
-// Defined in experiment_presets.cpp; called once from the registry ctor.
-void register_builtin_experiments(ExperimentRegistry& registry);
+// Presets are looked up by key, not parsed from a spec string: overrides are
+// separate "key=value" tokens (ExperimentSpec::apply_override).
+struct ExperimentDomain {
+  using Product = ExperimentSpec;
+  using Factory = ExperimentEntry;
+  static constexpr const char* kDomain = "experiment";
+  static constexpr const char* kNoun = "experiment";
+  // Every figure/table/example preset (exp/experiment_presets.cpp).
+  static void register_builtins(core::Registry<ExperimentDomain>& registry);
+
+  // Resolves a preset to its spec. Throws std::invalid_argument on an
+  // unknown key, naming it and listing the registered presets — the error
+  // contract of every seam (core/registry.hpp).
+  ExperimentSpec preset(const std::string& key) const;
+  // The preset's program; the default ExperimentProgram for unknown keys
+  // and presets registered without one.
+  std::unique_ptr<ExperimentProgram> program(const std::string& key) const;
+
+ protected:
+  ExperimentDomain() = default;  // exists only as the registry's base
+};
+
+// add(key, spec_factory[, program_factory]) registers or replaces a preset.
+using ExperimentRegistry = core::Registry<ExperimentDomain>;
 
 // Driver-level run flags — rhw_run's `--shard=i/n`, `--resume` and
 // `--dry-run`. These are execution knobs, not experiment identity: they

@@ -20,46 +20,43 @@
 //           — rmin without rmax keeps the spec's ON/OFF ratio constant
 //
 // Unknown keys and unknown options throw std::invalid_argument. Downstream
-// code can register additional backends (registry().add) under new keys.
-// docs/BACKENDS.md documents every knob with defaults and which paper
-// figure/table each configuration reproduces; attacks::AttackRegistry
-// (attacks/registry.hpp) is the same seam for the adversary axis and
-// defenses::DefenseRegistry (defenses/registry.hpp) for the defense axis —
-// defense wrappers compose around any prepared backend (docs/DEFENSES.md).
+// code can register additional backends under new keys with
+// BackendRegistry::instance().add(key, factory). docs/BACKENDS.md documents
+// every knob with defaults and which paper figure/table each configuration
+// reproduces; attacks::AttackRegistry (attacks/registry.hpp) is the same seam
+// for the adversary axis and defenses::DefenseRegistry (defenses/registry.hpp)
+// for the defense axis — defense wrappers compose around any prepared backend
+// (docs/DEFENSES.md). The lookup and error contract of all six seams live in
+// core/registry.hpp.
 #pragma once
 
 #include <functional>
 #include <string>
-#include <vector>
 
+#include "core/registry.hpp"
 #include "core/spec.hpp"
 #include "hw/backend.hpp"
 
 namespace rhw::hw {
 
 // Options parsed from the spec string: option name -> raw value text. The
-// grammar and typed extraction live in core/spec.hpp, shared with
-// attacks::AttackRegistry so both seams parse and report errors identically.
+// grammar and typed extraction live in core/spec.hpp, shared by all six seams.
 using BackendOptions = core::SpecOptions;
 using BackendFactory = std::function<BackendPtr(const BackendOptions&)>;
 
-class BackendRegistry {
- public:
-  // Process-wide registry, built-ins registered on first use.
-  static BackendRegistry& instance();
+struct BackendDomain {
+  using Product = BackendPtr;
+  using Factory = BackendFactory;
+  static constexpr const char* kDomain = "backend";
+  static constexpr const char* kNoun = "hardware backend";
+  // ideal, sram, xbar (hw/registry.cpp).
+  static void register_builtins(core::Registry<BackendDomain>& registry);
 
-  // Registers (or replaces) a factory under `key`.
-  void add(const std::string& key, BackendFactory factory);
-  bool contains(const std::string& key) const;
-  std::vector<std::string> keys() const;
-
-  // Parses "<key>[:opt=v,...]" and invokes the factory.
-  BackendPtr create(const std::string& spec) const;
-
- private:
-  BackendRegistry();
-  std::map<std::string, BackendFactory> factories_;
+ protected:
+  BackendDomain() = default;  // exists only as the registry's base
 };
+
+using BackendRegistry = core::Registry<BackendDomain>;
 
 // Shorthand for BackendRegistry::instance().create(spec).
 BackendPtr make_backend(const std::string& spec);

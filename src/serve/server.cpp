@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -257,7 +258,9 @@ ServeReport Server::report() const {
   report.max_us = latency_.max();
   for (const Reply& reply : replies_) {
     report.digest ^= derive_stream_seed(
-        reply.id, static_cast<uint64_t>(reply.predicted) + 1);
+        derive_stream_seed(reply.id,
+                           static_cast<uint64_t>(reply.predicted) + 1),
+        std::bit_cast<uint32_t>(reply.score));
   }
   return report;
 }

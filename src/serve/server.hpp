@@ -86,9 +86,11 @@ struct ServeReport {
   uint64_t p95_us = 0;
   uint64_t p99_us = 0;
   uint64_t max_us = 0;
-  // Order-independent fold of every (id, predicted) pair: two runs served
-  // the same results iff their digests match, regardless of completion
-  // order. The cheap request-level determinism check.
+  // Order-independent fold of every (id, predicted, score bits) triple: two
+  // runs served the same results iff their digests match, regardless of
+  // completion order. The score bits make arms that agree on every argmax
+  // (a noisy substrate at small eval sizes) still digest differently. The
+  // cheap request-level determinism check.
   uint64_t digest = 0;
   bool stochastic = false;
 };

@@ -1,12 +1,11 @@
-// AttackRegistry parsing and error reporting, in parity with the
-// BackendRegistry suite (tests/hw/test_registry.cpp): unknown attacks,
-// unknown options, malformed values and trailing garbage must all throw
-// std::invalid_argument naming the offending token and the full spec.
+// The attack seam's own rules: which options each attack takes, zero-iteration
+// rejection, config parsing, display names and declared pass counts. The
+// lookup and error contract shared by all six seams is tested once, in
+// tests/core/test_registry.cpp.
 #include "attacks/registry.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "core/rng.hpp"
@@ -17,31 +16,6 @@
 
 namespace rhw::attacks {
 namespace {
-
-TEST(AttackRegistry, BuiltinsRegistered) {
-  const auto keys = AttackRegistry::instance().keys();
-  for (const char* expected :
-       {"fgsm", "pgd", "eot_pgd", "mifgsm", "square"}) {
-    EXPECT_TRUE(std::find(keys.begin(), keys.end(), expected) != keys.end())
-        << expected;
-    EXPECT_TRUE(AttackRegistry::instance().contains(expected));
-  }
-}
-
-TEST(AttackRegistry, UnknownAttackThrowsNamingKey) {
-  try {
-    make_attack("cw");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("cw"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("registered"), std::string::npos) << msg;
-  }
-}
-
-TEST(AttackRegistry, EmptySpecThrows) {
-  EXPECT_THROW(make_attack(""), std::invalid_argument);
-}
 
 TEST(AttackRegistry, UnknownOptionThrowsNamingIt) {
   try {
@@ -56,45 +30,6 @@ TEST(AttackRegistry, UnknownOptionThrowsNamingIt) {
   // "samples" belongs to eot_pgd, not plain pgd.
   EXPECT_THROW(make_attack("pgd:samples=8"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
   EXPECT_THROW(make_attack("square:decay=1"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
-}
-
-// Parse failures must name the offending key, the bad value, AND the full
-// spec string (parity with BackendRegistry::ParseErrorNamesKeyValueAndSpec).
-TEST(AttackRegistry, ParseErrorNamesKeyValueAndSpec) {
-  try {
-    make_attack("pgd:steps=7,alpha=abc");  // rhw-lint: allow(spec) stale on purpose
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("alpha"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("abc"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("pgd:steps=7,alpha=abc"), std::string::npos) << msg;  // rhw-lint: allow(spec) stale on purpose
-  }
-  try {
-    make_attack("square:queries=manyy");  // rhw-lint: allow(spec) stale on purpose
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("queries"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("manyy"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("square:queries=manyy"), std::string::npos) << msg;  // rhw-lint: allow(spec) stale on purpose
-  }
-}
-
-// Trailing garbage after a numeric value is rejected, not silently truncated.
-TEST(AttackRegistry, TrailingGarbageRejected) {
-  EXPECT_THROW(make_attack("fgsm:eps=0.1junk"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
-  EXPECT_THROW(make_attack("pgd:steps=7.5"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
-  EXPECT_THROW(make_attack("mifgsm:decay=1.0 "), std::invalid_argument);
-}
-
-TEST(AttackRegistry, MalformedOptionThrows) {
-  EXPECT_THROW(make_attack("pgd:steps"), std::invalid_argument);
-}
-
-TEST(AttackRegistry, NegativeIntegerOptionThrows) {
-  EXPECT_THROW(make_attack("pgd:steps=-1"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
-  EXPECT_THROW(make_attack("square:queries=-5"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
 }
 
 // Zero-valued iteration knobs would make the attack a silent no-op (adv ~=
@@ -150,16 +85,6 @@ TEST(AttackRegistry, DisplayNames) {
   EXPECT_EQ(attack_display_name("eot_pgd"), "EOT-PGD");
   EXPECT_EQ(attack_display_name("mifgsm"), "MI-FGSM");
   EXPECT_EQ(attack_display_name("square"), "Square");
-}
-
-TEST(AttackRegistry, CustomAttackRegistration) {
-  AttackRegistry::instance().add("custom-fgsm",
-                                 [](const AttackOptions&) {
-                                   return make_attack("fgsm:eps=0.123");
-                                 });
-  auto attack = make_attack("custom-fgsm");
-  EXPECT_EQ(attack->name(), "FGSM");
-  EXPECT_FLOAT_EQ(attack->epsilon(), 0.123f);
 }
 
 // Pass-through module counting the forward/backward calls an attack makes.

@@ -1,7 +1,7 @@
-// The sixth seam's contract: the dataset registry speaks the same spec
-// grammar and token-naming error shape as the other five registries, routes
-// the legacy generator names bit-identically, and caches loads by canonical
-// spec.
+// The dataset seam's own contract: option and corruption-wrapper errors,
+// the legacy generator names routed bit-identically, and loads cached by
+// canonical spec. The lookup and error contract shared by all six seams is
+// tested in tests/core/test_registry.cpp.
 #include "data/registry.hpp"
 
 #include <gtest/gtest.h>
@@ -15,33 +15,6 @@ namespace rhw::data {
 namespace {
 
 constexpr const char* kTiny = "tiny:classes=4,train=8,test=3,size=16";
-
-TEST(DatasetRegistry, KeysAreSortedAndContainTheBuiltins) {
-  auto& registry = DatasetRegistry::instance();
-  const auto keys = registry.keys();
-  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
-  for (const char* key :
-       {"cifar10", "mnist", "synth-c10", "synth-c100", "synth_cifar", "tiny"}) {
-    EXPECT_TRUE(registry.contains(key)) << key;
-  }
-  EXPECT_FALSE(registry.contains("imagenet"));
-}
-
-// Error parity with the other five seams: unknown keys name the token and
-// list what is registered.
-TEST(DatasetRegistry, UnknownKeyNamesTokenAndListsKeys) {
-  try {
-    (void)make_dataset_provider("imagenet");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("unknown dataset 'imagenet'"), std::string::npos)
-        << what;
-    EXPECT_NE(what.find("registered:"), std::string::npos) << what;
-    EXPECT_NE(what.find("cifar10"), std::string::npos) << what;
-    EXPECT_NE(what.find("synth-c10"), std::string::npos) << what;
-  }
-}
 
 // Option errors are wrapped with the full offending spec, like the hardware
 // registry wraps its factory errors.
@@ -83,6 +56,30 @@ TEST(DatasetRegistry, WrapperErrorsNameTheSeam) {
                std::invalid_argument);
   EXPECT_THROW(make_dataset_provider("tiny+corrupt:kind=fog,sev=6"),
                std::invalid_argument);
+}
+
+// A wrapped spec's base goes through the registry's parse and lookup; errors
+// from the base factory and from the wrapper carry the full spec.
+TEST(DatasetRegistry, WrappedSpecErrorsCarryTheFullSpec) {
+  const auto error_of = [](const std::string& spec) -> std::string {
+    try {
+      (void)make_dataset_provider(spec);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(error_of("tiny:classes=1+corrupt:kind=fog,sev=1"),
+            "dataset spec 'tiny:classes=1+corrupt:kind=fog,sev=1': dataset "
+            "tiny: degenerate dataset configuration");
+  EXPECT_EQ(error_of("tiny+noise:kind=fog"),
+            "dataset spec 'tiny+noise:kind=fog': unknown dataset wrapper "
+            "'noise' (only '+corrupt:kind=...,sev=...')");
+  EXPECT_EQ(error_of("imagenet+corrupt:kind=fog,sev=1"),
+            "unknown dataset 'imagenet'; registered: cifar10 mnist synth-c10 "
+            "synth-c100 synth_cifar tiny");
+  EXPECT_EQ(error_of("tiny:classes+corrupt:kind=fog,sev=1"),
+            "dataset spec 'tiny:classes': option 'classes' is not key=value");
 }
 
 TEST(DatasetRegistry, TagsMatchTheLegacyCacheKeys) {

@@ -1,44 +1,17 @@
-// DefenseRegistry parsing and error reporting, in parity with the
-// BackendRegistry and AttackRegistry suites (tests/hw/test_registry.cpp,
-// tests/attacks/test_attack_registry.cpp): unknown defenses, unknown
-// options, malformed values and trailing garbage must all throw
-// std::invalid_argument naming the offending token and the full spec.
+// The defense seam's own rules: which options each defense takes, count and
+// domain validation, config parsing, display names and missing-context
+// errors. The lookup and error contract shared by all six seams is tested
+// once, in tests/core/test_registry.cpp.
 #include "defenses/registry.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "models/zoo.hpp"
 
 namespace rhw::defenses {
 namespace {
-
-TEST(DefenseRegistry, BuiltinsRegistered) {
-  const auto keys = DefenseRegistry::instance().keys();
-  for (const char* expected : {"none", "adv_train", "smooth", "jpeg_quant",
-                               "gauss_aug", "quanos"}) {
-    EXPECT_TRUE(std::find(keys.begin(), keys.end(), expected) != keys.end())
-        << expected;
-    EXPECT_TRUE(DefenseRegistry::instance().contains(expected));
-  }
-}
-
-TEST(DefenseRegistry, UnknownDefenseThrowsNamingKey) {
-  try {
-    make_defense("distillation");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("distillation"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("registered"), std::string::npos) << msg;
-  }
-}
-
-TEST(DefenseRegistry, EmptySpecThrows) {
-  EXPECT_THROW(make_defense(""), std::invalid_argument);
-}
 
 TEST(DefenseRegistry, UnknownOptionThrowsNamingIt) {
   try {
@@ -53,41 +26,6 @@ TEST(DefenseRegistry, UnknownOptionThrowsNamingIt) {
   // "sigma" belongs to smooth/gauss_aug, not jpeg_quant.
   EXPECT_THROW(make_defense("jpeg_quant:sigma=0.1"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
   EXPECT_THROW(make_defense("adv_train:queries=5"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
-}
-
-// Parse failures must name the offending key, the bad value, AND the full
-// spec string (parity with the other registries' ParseErrorNamesKeyValueAndSpec).
-TEST(DefenseRegistry, ParseErrorNamesKeyValueAndSpec) {
-  try {
-    make_defense("smooth:samples=16,sigma=abc");  // rhw-lint: allow(spec) stale on purpose
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("sigma"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("abc"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("smooth:samples=16,sigma=abc"), std::string::npos)  // rhw-lint: allow(spec) stale on purpose
-        << msg;
-  }
-  try {
-    make_defense("adv_train:epochs=many");  // rhw-lint: allow(spec) stale on purpose
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("epochs"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("many"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("adv_train:epochs=many"), std::string::npos) << msg;  // rhw-lint: allow(spec) stale on purpose
-  }
-}
-
-// Trailing garbage after a numeric value is rejected, not silently truncated.
-TEST(DefenseRegistry, TrailingGarbageRejected) {
-  EXPECT_THROW(make_defense("smooth:sigma=0.25junk"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
-  EXPECT_THROW(make_defense("jpeg_quant:bits=4.5"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
-  EXPECT_THROW(make_defense("gauss_aug:sigma=0.1 "), std::invalid_argument);
-}
-
-TEST(DefenseRegistry, MalformedOptionThrows) {
-  EXPECT_THROW(make_defense("smooth:sigma"), std::invalid_argument);
 }
 
 // Zero-valued count knobs would make the defense a silent no-op; they must
@@ -175,15 +113,6 @@ TEST(DefenseRegistry, MissingContextDataThrows) {
     EXPECT_NE(std::string(e.what()).find("quanos"), std::string::npos)
         << e.what();
   }
-}
-
-TEST(DefenseRegistry, CustomDefenseRegistration) {
-  DefenseRegistry::instance().add("custom-smooth",
-                                  [](const DefenseOptions&) {
-                                    return make_defense("smooth:samples=2");
-                                  });
-  auto defense = make_defense("custom-smooth");
-  EXPECT_EQ(defense->name(), "Smooth");
 }
 
 }  // namespace

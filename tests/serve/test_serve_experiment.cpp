@@ -22,10 +22,14 @@ namespace {
 constexpr char kArtifact[] = "BENCH_serve_itest.json";
 
 // Shrunk serve_smoke: two load points, few requests, tiny eval head, fixed
-// lane count — fast enough for CI, still three arms end to end.
+// lane count — fast enough for CI, still three arms end to end. One quick
+// epoch gives the model non-zero weights: the preset's untrained (all-zero)
+// model scores 0 on every input under every substrate, so no digest could
+// tell its arms apart.
 const std::vector<std::string> kOverrides = {
     "qps=600,2400", "requests=32", "eval_count=16",
-    "lanes=2",      "batch_max=4", std::string("out=") + kArtifact,
+    "lanes=2",      "batch_max=4", "train=quick:epochs=1,batch=20",
+    std::string("out=") + kArtifact,
 };
 
 std::string read_artifact() {
@@ -87,8 +91,14 @@ TEST(ServeExperiment, SmokePresetWritesValidServeV1Artifact) {
   EXPECT_EQ(points, 6u);
 
   // One digest per arm, enforced identical across the arm's load points by
-  // the runner itself (it throws if batching leaked into results).
-  EXPECT_EQ(extract_digests(json).size(), 3u);
+  // the runner itself (it throws if batching leaked into results). The arms
+  // serve different substrates, so their digests must differ: a digest that
+  // every arm shares cannot catch a result drift.
+  const std::vector<std::string> digests = extract_digests(json);
+  ASSERT_EQ(digests.size(), 3u);
+  EXPECT_NE(digests[0], digests[1]);
+  EXPECT_NE(digests[0], digests[2]);
+  EXPECT_NE(digests[1], digests[2]);
 }
 
 TEST(ServeExperiment, RerunReproducesRequestLevelDigests) {
