@@ -10,10 +10,11 @@
 // impact table):
 //
 //   naive                      reference triple loop, double accumulators
-//   blocked[:bk=,bn=,zero_skip=]   cache-blocked scalar kernel (the default)
+//   blocked[:bk=,bn=,zero_skip=]   cache-blocked scalar kernel
 //   simd[:threads=,mr=,nr=]    register-tiled packed-panel micro-kernel GEMM
 //                              (AVX2/FMA on x86-64, NEON on aarch64, portable
-//                              fallback elsewhere), vectorized GEMV
+//                              fallback elsewhere), vectorized GEMV (the
+//                              default)
 //
 // Numeric contract (asserted by tests/core/test_engine_registry.cpp):
 //

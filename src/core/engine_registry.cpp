@@ -94,14 +94,15 @@ const Engine* pin(EnginePtr engine) {
 const Engine& active_engine() {
   const Engine* engine = g_active.load(std::memory_order_acquire);
   if (engine != nullptr) return *engine;
-  // Lazy default: $RHW_ENGINE, else "blocked" (bit-compatible with the
-  // historical kernel). Double-checked so racing first calls agree.
+  // Lazy default: $RHW_ENGINE, else "simd" (engine=blocked reproduces
+  // artifacts made under the older default). Double-checked so racing first
+  // calls agree.
   std::lock_guard<std::mutex> lock(g_active_mutex);
   engine = g_active.load(std::memory_order_relaxed);
   if (engine == nullptr) {
     const char* env = std::getenv("RHW_ENGINE");
     pinned_engines().push_back(
-        make_engine(env != nullptr && *env != '\0' ? env : "blocked"));
+        make_engine(env != nullptr && *env != '\0' ? env : "simd"));
     engine = pinned_engines().back().get();
     g_active.store(engine, std::memory_order_release);
   }

@@ -15,8 +15,8 @@
 //
 // The *active* engine is a process-wide selection that every core::gemm /
 // core::gemv / fused-conv call routes through. It is lazily initialized from
-// $RHW_ENGINE (default "blocked" — bit-compatible with the historical
-// kernel); ExperimentRegistry::run_experiment sets it from the experiment's
+// $RHW_ENGINE (default "simd"; "blocked" reproduces artifacts made before
+// simd became the default); ExperimentRegistry::run_experiment sets it from the experiment's
 // `engine=` knob before any cell runs, and the chosen canonical spec is
 // recorded in every rhw-sweep-v4 artifact. Selection is cheap (one atomic
 // load per kernel call) and set_active_engine is safe to call from any
@@ -54,7 +54,7 @@ using EngineRegistry = Registry<EngineDomain>;
 EnginePtr make_engine(const std::string& spec);
 
 // The engine every core::gemm / core::gemv / fused-conv call dispatches to.
-// Lazily initialized from $RHW_ENGINE (default "blocked") on first use.
+// Lazily initialized from $RHW_ENGINE (default "simd") on first use.
 const Engine& active_engine();
 
 // Replaces the active engine process-wide. Engines set here stay alive for

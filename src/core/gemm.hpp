@@ -8,8 +8,8 @@
 //
 // Both calls dispatch to the process-wide active core::Engine — select it
 // with core::set_active_engine / $RHW_ENGINE / the experiment `engine=` knob
-// (core/engine_registry.hpp, docs/ENGINES.md). The default engine "blocked"
-// is the historical cache-blocked kernel, unchanged.
+// (core/engine_registry.hpp, docs/ENGINES.md). The default engine is
+// "simd"; "blocked" is the historical cache-blocked kernel, unchanged.
 #pragma once
 
 #include <cstdint>

@@ -369,6 +369,11 @@ SimdEngine::SimdEngine(const Config& cfg)
     throw std::invalid_argument("engine simd: nr=" + std::to_string(cfg.nr) +
                                 " has no instantiated kernel (8 or 16)");
   }
+  if (cfg.threads != 0 && cfg.threads != 1) {
+    throw std::invalid_argument(
+        "engine simd: threads=" + std::to_string(cfg.threads) +
+        " is not a thread mode (0 = shared pool, 1 = serial)");
+  }
 }
 
 void SimdEngine::gemm(bool trans_a, bool trans_b, int64_t m, int64_t n,
@@ -382,34 +387,71 @@ void SimdEngine::gemm(bool trans_a, bool trans_b, int64_t m, int64_t n,
   const int64_t mpanels = (m + mr - 1) / mr;
   const int64_t npanels = (n + nr - 1) / nr;
   std::vector<float> ap(static_cast<size_t>(mpanels * mr * k));
-  std::vector<float> bp(static_cast<size_t>(npanels * nr * k));
   pack_a(trans_a, m, k, a, lda, mr, ap.data());
-  pack_b(trans_b, k, n, b, ldb, nr, bp.data());
   const MicroKernelFn kern = pick_kernel(mr_index(mr), nr_index(nr));
 
-  auto run = [&](int64_t panel_begin, int64_t panel_end) {
-    for (int64_t pi = panel_begin; pi < panel_end; ++pi) {
+  // B is packed a block of whole nr-wide panels at a time, never in full: a
+  // block holds as many panels as fit kBBlockBytes (at least one, at most
+  // all of them), so the scratch of one task is bounded by a function of k,
+  // not a copy of B.
+  const int64_t panel_floats = nr * k;
+  const int64_t block_panels = std::clamp<int64_t>(
+      kBBlockBytes / (panel_floats * static_cast<int64_t>(sizeof(float))), 1,
+      npanels);
+  const int64_t block_cols = block_panels * nr;
+  const int64_t nblocks = (npanels + block_panels - 1) / block_panels;
+  const int64_t col_step = trans_b ? ldb : 1;  // op(B) column j: b + j*step
+
+  // C[rows of A panels [pi0, pi1)] x [B panels of `bp`, starting at column
+  // j_begin, covering n_cols columns] — one micro-kernel call per tile.
+  auto tiles = [&](int64_t pi0, int64_t pi1, const float* bp, int64_t j_begin,
+                   int64_t n_cols) {
+    const int64_t panels = (n_cols + nr - 1) / nr;
+    for (int64_t pi = pi0; pi < pi1; ++pi) {
       const int64_t i0 = pi * mr;
       const int64_t mr_eff = std::min(mr, m - i0);
       const float* apanel = ap.data() + pi * mr * k;
-      for (int64_t pj = 0; pj < npanels; ++pj) {
+      float* crow = c + i0 * ldc + j_begin;
+      for (int64_t pj = 0; pj < panels; ++pj) {
         const int64_t j0 = pj * nr;
-        kern(k, apanel, bp.data() + pj * nr * k, c + i0 * ldc + j0, ldc,
-             mr_eff, std::min(nr, n - j0), alpha);
+        kern(k, apanel, bp + pj * panel_floats, crow + j0, ldc, mr_eff,
+             std::min(nr, n_cols - j0), alpha);
       }
     }
   };
+  // Blocks [blk_begin, blk_end) of B, each packed into one task-local
+  // buffer and run against every A panel.
+  auto run_blocks = [&](int64_t blk_begin, int64_t blk_end) {
+    std::vector<float> bp(static_cast<size_t>(block_panels * panel_floats));
+    for (int64_t blk = blk_begin; blk < blk_end; ++blk) {
+      const int64_t j0 = blk * block_cols;
+      const int64_t cols = std::min(block_cols, n - j0);
+      pack_b(trans_b, k, cols, b + j0 * col_step, ldb, nr, bp.data());
+      tiles(0, mpanels, bp.data(), j0, cols);
+    }
+  };
 
-  // Row panels write disjoint C rows and each element's accumulation order
-  // is the k order regardless of the panel split, so any thread count gives
-  // bit-identical results. threads=1 forces serial; small products stay
-  // serial to skip synchronization overhead.
+  // Every C element is one micro-kernel call over the full k loop in k
+  // order, whichever split runs it, so any thread count (and the block
+  // size) gives bit-identical results. threads=1 forces serial; small
+  // products stay serial to skip synchronization overhead.
   const int64_t flops = m * n * k;
   if (cfg_.threads == 1 || flops < (1 << 16)) {
-    run(0, mpanels);
+    run_blocks(0, nblocks);
     return;
   }
-  parallel_for(mpanels, run);
+  const int64_t lanes = static_cast<int64_t>(global_pool().size()) + 1;
+  if (nblocks >= lanes) {
+    parallel_for(nblocks, run_blocks);
+    return;
+  }
+  // Too few B blocks to feed the pool: B is small (under `lanes` blocks),
+  // so pack it once and split over A's row panels instead.
+  std::vector<float> bp(static_cast<size_t>(npanels * panel_floats));
+  pack_b(trans_b, k, n, b, ldb, nr, bp.data());
+  parallel_for(mpanels, [&](int64_t pi0, int64_t pi1) {
+    tiles(pi0, pi1, bp.data(), 0, n);
+  });
 }
 
 void SimdEngine::gemv(bool trans_a, int64_t m, int64_t n, float alpha,

@@ -15,8 +15,9 @@
 // Tile shape is spec-selectable (mr in {1,2,4,6,8}, nr in {8,16}); 6x16 is
 // the default — a 6x2-vector accumulator tile plus one B strip fills the
 // sixteen 256-bit registers of AVX2, and it measured fastest on the VGG-8
-// conv GEMM shape. See docs/ENGINES.md for the knob table and measured
-// impact.
+// conv GEMM shape. B is packed in bounded per-task blocks (kBBlockBytes).
+// This is the default engine; docs/ENGINES.md has the knob table and
+// measured impact.
 #pragma once
 
 #include "core/engine.hpp"
@@ -31,10 +32,16 @@ class SimdEngine : public Engine {
     int64_t threads = 0;  // 0 = shared pool; 1 = always serial
   };
   // Throws std::invalid_argument (naming the offending knob) on a tile
-  // shape outside the instantiated set.
+  // shape outside the instantiated set or a threads value other than 0/1.
   explicit SimdEngine(const Config& cfg);
 
   std::string key() const override { return "simd"; }
+
+  // Packed-B bytes one gemm task holds at a time (a fraction of a typical
+  // L2): B is packed in blocks of max(1, kBBlockBytes / (nr * k * 4)) whole
+  // nr-wide panels. gemm splits over these blocks when there are at least
+  // as many as pool lanes, else over A's row panels with B packed once.
+  static constexpr int64_t kBBlockBytes = int64_t{64} << 10;
 
   void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
             float alpha, const float* a, int64_t lda, const float* b,

@@ -378,7 +378,7 @@ std::vector<SweepResult> run_experiment(
   }
 
   // Resolve the compute engine before any panel work (training included):
-  // the explicit engine= knob, else whatever $RHW_ENGINE / "blocked" lazily
+  // the explicit engine= knob, else whatever $RHW_ENGINE / "simd" lazily
   // resolves to. The scope pins it for the whole run and restores the prior
   // selection afterwards; spec.engine becomes the active engine's canonical
   // spec so the artifact's canonical args record the actual kernel used.

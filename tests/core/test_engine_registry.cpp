@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -19,6 +20,7 @@
 #include "core/gemm_simd.hpp"
 #include "core/im2col.hpp"
 #include "core/rng.hpp"
+#include "core/thread_pool.hpp"
 
 namespace rhw {
 namespace {
@@ -52,6 +54,19 @@ TEST(EngineRegistry, InvalidKnobValuesThrow) {
   EXPECT_THROW(core::make_engine("simd:mr=3"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
   EXPECT_THROW(core::make_engine("simd:nr=12"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
   EXPECT_THROW(core::make_engine("simd:mr=7.5"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
+}
+
+TEST(EngineRegistry, SimdThreadsIsZeroOrOne) {
+  EXPECT_EQ(core::make_engine("simd:threads=1")->spec(),
+            "simd:mr=6,nr=16,threads=1");
+  try {
+    core::make_engine("simd:threads=3");  // rhw-lint: allow(spec) stale on purpose
+    FAIL() << "simd:threads=3 must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "engine spec 'simd:threads=3': engine simd: threads=3 is not "
+                 "a thread mode (0 = shared pool, 1 = serial)");
+  }
 }
 
 TEST(EngineRegistry, CanonicalSpecSpellsOutEveryKnob) {
@@ -194,6 +209,77 @@ INSTANTIATE_TEST_SUITE_P(
                                          "simd:mr=8,nr=8", "simd:mr=4,nr=16",
                                          "simd:threads=1"),
                        ::testing::Bool(), ::testing::Bool()));
+
+// -- simd split and packing contract -----------------------------------------
+
+// Columns in one packed-B block of a simd engine with tile width nr at this k
+// (SimdEngine::kBBlockBytes), and the lane count the shared pool feeds.
+int64_t simd_block_cols(int64_t nr, int64_t k) {
+  const int64_t panels = std::max<int64_t>(
+      1, core::SimdEngine::kBBlockBytes /
+             (nr * k * static_cast<int64_t>(sizeof(float))));
+  return panels * nr;
+}
+int64_t pool_lanes() { return static_cast<int64_t>(global_pool().size()) + 1; }
+
+class SimdSplit : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+
+// gemm splits over blocks of packed B when n spans at least one block per
+// pool lane, else over A's row panels. Either way each C element is one
+// micro-kernel call over the full k loop, so the shared-pool engine must
+// equal the serial one bit for bit, and both stay within the FLOP-scaled
+// tolerance of naive.
+TEST_P(SimdSplit, ParallelEqualsSerialBitwise) {
+  const auto [ta, tb] = GetParam();
+  const int64_t k = 64;
+  const int64_t block = simd_block_cols(16, k);
+  // >= max(3, lanes) blocks, the last one ragged, its last panel ragged too.
+  const int64_t wide = (std::max<int64_t>(3, pool_lanes()) + 1) * block + 37;
+  ASSERT_NE(wide % 16, 0);
+  struct Shape {
+    const char* what;
+    int64_t m, n;
+  };
+  const Shape shapes[] = {
+      {"n-split, ragged block and panel", 13, wide},
+      {"n-split, m < mr", 4, wide},
+      {"row-panel fallback, small n", 97, 35},
+  };
+  const std::pair<const char*, const char*> engines[] = {
+      {"simd", "simd:threads=1"},
+      {"simd:mr=4,nr=8", "simd:mr=4,nr=8,threads=1"}};
+  for (const auto& [spec, serial_spec] : engines) {
+    auto pooled = core::make_engine(spec);
+    auto serial = core::make_engine(serial_spec);
+    auto naive = core::make_engine("naive");
+    for (const auto& s : shapes) {
+      RandomEngine rng(static_cast<uint64_t>(s.m * 131 + s.n) + (ta ? 1 : 0) +
+                       (tb ? 2 : 0));
+      const int64_t lda = (ta ? s.m : k) + 3;
+      const int64_t ldb = (tb ? k : s.n) + 5;  // > n when B is not transposed
+      const int64_t ldc = s.n + 7;
+      const auto a = random_matrix(ta ? k : s.m, lda, rng);
+      const auto b = random_matrix(tb ? s.n : k, ldb, rng);
+      std::vector<float> c(static_cast<size_t>(s.m * ldc), 0.25f);
+      std::vector<float> c_serial = c, c_ref = c;
+      pooled->gemm(ta, tb, s.m, s.n, k, 0.9f, a.data(), lda, b.data(), ldb,
+                   0.4f, c.data(), ldc);
+      serial->gemm(ta, tb, s.m, s.n, k, 0.9f, a.data(), lda, b.data(), ldb,
+                   0.4f, c_serial.data(), ldc);
+      naive->gemm(ta, tb, s.m, s.n, k, 0.9f, a.data(), lda, b.data(), ldb,
+                  0.4f, c_ref.data(), ldc);
+      ASSERT_EQ(c, c_serial) << spec << " " << s.what;
+      for (size_t i = 0; i < c.size(); ++i) {
+        ASSERT_NEAR(c[i], c_ref[i], flop_tol(k)) << spec << " " << s.what
+                                                 << " at " << i;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Transposes, SimdSplit,
+                         ::testing::Combine(::testing::Bool(),
+                                            ::testing::Bool()));
 
 TEST(EngineParity, SimdGemvMatchesNaive) {
   auto simd = core::make_engine("simd");
@@ -394,6 +480,47 @@ TEST_P(EngineConv, FusedBackwardMatchesPerSampleReference) {
                           grad_out.data(), grad_in_only.data(), nullptr,
                           nullptr);
   EXPECT_EQ(grad_in_only, grad_in);
+}
+
+// The fused conv at a batch wide enough that both the forward GEMM (k =
+// col_rows) and the input-gradient GEMM (k = out_c) split over blocks of B:
+// the shared-pool simd engine must match the serial one bit for bit.
+TEST(EngineConv, SimdWideBatchParallelEqualsSerialBitwise) {
+  auto pooled = core::make_engine("simd");
+  auto serial = core::make_engine("simd:threads=1");
+  const ConvGeom g{4, 12, 12, 3, 3, 1, 1};
+  const int64_t out_c = 8;
+  const int64_t ohw = g.col_cols();
+  const int64_t widest_block = std::max(simd_block_cols(16, g.col_rows()),
+                                        simd_block_cols(16, out_c));
+  const int64_t batch = (pool_lanes() + 1) * widest_block / ohw + 1;
+  RandomEngine rng(81);
+  const auto input = random_matrix(batch, g.in_c * g.in_h * g.in_w, rng);
+  const auto weights = random_matrix(out_c, g.col_rows(), rng);
+  const auto bias = random_matrix(out_c, 1, rng);
+  const auto grad_out = random_matrix(batch, out_c * ohw, rng);
+
+  const size_t out_sz = static_cast<size_t>(batch * out_c * ohw);
+  std::vector<float> out(out_sz), out_serial(out_sz);
+  pooled->conv2d_forward(g, batch, input.data(), out_c, weights.data(),
+                         bias.data(), out.data());
+  serial->conv2d_forward(g, batch, input.data(), out_c, weights.data(),
+                         bias.data(), out_serial.data());
+  ASSERT_EQ(out, out_serial);
+
+  const size_t in_sz = input.size();
+  std::vector<float> grad_in(in_sz), grad_in_serial(in_sz);
+  std::vector<float> grad_w(weights.size(), 0.f), grad_w_serial = grad_w;
+  std::vector<float> grad_b(bias.size(), 0.f), grad_b_serial = grad_b;
+  pooled->conv2d_backward(g, batch, input.data(), out_c, weights.data(),
+                          grad_out.data(), grad_in.data(), grad_w.data(),
+                          grad_b.data());
+  serial->conv2d_backward(g, batch, input.data(), out_c, weights.data(),
+                          grad_out.data(), grad_in_serial.data(),
+                          grad_w_serial.data(), grad_b_serial.data());
+  ASSERT_EQ(grad_in, grad_in_serial);
+  ASSERT_EQ(grad_w, grad_w_serial);
+  ASSERT_EQ(grad_b, grad_b_serial);
 }
 
 // -- active-engine selection --------------------------------------------------
