@@ -14,7 +14,8 @@ namespace {
 
 // Typed option extraction with leftover rejection, shared with the other
 // five seams (core/spec.hpp). The "engine" domain string keeps the
-// common error-message shape ("engine option bk: bad integer 'abc'").
+// common error-message shape ("engine option threads: bad non-negative
+// integer 'abc'").
 OptionReader reader_for(const std::string& engine, const EngineOptions& opts) {
   return OptionReader("engine", engine, opts);
 }
@@ -25,41 +26,17 @@ EnginePtr make_naive(const EngineOptions& opts) {
   return std::make_shared<NaiveEngine>();
 }
 
-EnginePtr make_blocked(const EngineOptions& opts) {
-  auto reader = reader_for("blocked", opts);
-  BlockedEngine::Config cfg;
-  cfg.bk = static_cast<int64_t>(
-      reader.integer("bk", static_cast<uint64_t>(cfg.bk)));
-  cfg.bn = static_cast<int64_t>(
-      reader.integer("bn", static_cast<uint64_t>(cfg.bn)));
-  cfg.zero_skip = reader.integer("zero_skip", 0) != 0;
-  reader.finish();
-  if (cfg.bk < 1 || cfg.bn < 1) {
-    throw std::invalid_argument("engine blocked: bk and bn must be >= 1 (got "
-                                "bk=" + std::to_string(cfg.bk) +
-                                ", bn=" + std::to_string(cfg.bn) + ")");
-  }
-  return std::make_shared<BlockedEngine>(cfg);
-}
-
 EnginePtr make_simd(const EngineOptions& opts) {
   auto reader = reader_for("simd", opts);
-  SimdEngine::Config cfg;
-  cfg.mr = static_cast<int64_t>(
-      reader.integer("mr", static_cast<uint64_t>(cfg.mr)));
-  cfg.nr = static_cast<int64_t>(
-      reader.integer("nr", static_cast<uint64_t>(cfg.nr)));
-  cfg.threads = static_cast<int64_t>(
-      reader.integer("threads", static_cast<uint64_t>(cfg.threads)));
+  const uint64_t threads = reader.integer("threads", 0);
   reader.finish();
-  return std::make_shared<SimdEngine>(cfg);  // validates the tile shape
+  return std::make_shared<SimdEngine>(threads);  // validates threads
 }
 
 }  // namespace
 
 void EngineDomain::register_builtins(EngineRegistry& registry) {
   registry.add("naive", make_naive);
-  registry.add("blocked", make_blocked);
   registry.add("simd", make_simd);
 }
 
@@ -94,8 +71,7 @@ const Engine* pin(EnginePtr engine) {
 const Engine& active_engine() {
   const Engine* engine = g_active.load(std::memory_order_acquire);
   if (engine != nullptr) return *engine;
-  // Lazy default: $RHW_ENGINE, else "simd" (engine=blocked reproduces
-  // artifacts made under the older default). Double-checked so racing first
+  // Lazy default: $RHW_ENGINE, else "simd". Double-checked so racing first
   // calls agree.
   std::lock_guard<std::mutex> lock(g_active_mutex);
   engine = g_active.load(std::memory_order_relaxed);

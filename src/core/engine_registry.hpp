@@ -2,26 +2,24 @@
 // (core/registry.hpp). Same core/spec grammar, same token-naming error
 // contract:
 //
-//   auto engine = core::make_engine("simd:mr=6,nr=16");
-//   core::set_active_engine("blocked:bk=128");   // process-wide
+//   auto engine = core::make_engine("simd:threads=1");
+//   core::set_active_engine("naive");   // process-wide
 //
 // Built-in keys and their options (docs/ENGINES.md has defaults, contract
 // and measured impact):
 //
-//   naive     (no options)   reference triple loop, double accumulators
-//   blocked   bk=<n> bn=<n> zero_skip=<0|1>   cache-blocked scalar kernel
-//   simd      mr=<1|2|4|6|8> nr=<8|16> threads=<0|1>   register-tiled
-//             micro-kernel GEMM (AVX2/FMA, NEON, portable fallback)
+//   naive   (no options)     reference triple loop, double accumulators
+//   simd    threads=<0|1>    6x16 register-tiled micro-kernel GEMM (AVX2/FMA,
+//                            NEON, portable fallback); 1 = always serial
 //
 // The *active* engine is a process-wide selection that every core::gemm /
 // core::gemv / fused-conv call routes through. It is lazily initialized from
-// $RHW_ENGINE (default "simd"; "blocked" reproduces artifacts made before
-// simd became the default); ExperimentRegistry::run_experiment sets it from the experiment's
-// `engine=` knob before any cell runs, and the chosen canonical spec is
-// recorded in every rhw-sweep-v4 artifact. Selection is cheap (one atomic
-// load per kernel call) and set_active_engine is safe to call from any
-// thread, but swapping engines mid-computation gives no ordering guarantee —
-// experiments swap once, up front.
+// $RHW_ENGINE (default "simd"); ExperimentRegistry::run_experiment sets it
+// from the experiment's `engine=` knob before any cell runs, and the chosen
+// canonical spec is recorded in every rhw-sweep-v4 artifact. Selection is
+// cheap (one atomic load per kernel call) and set_active_engine is safe to
+// call from any thread, but swapping engines mid-computation gives no
+// ordering guarantee — experiments swap once, up front.
 #pragma once
 
 #include <functional>
@@ -41,7 +39,7 @@ struct EngineDomain {
   using Factory = EngineFactory;
   static constexpr const char* kDomain = "engine";
   static constexpr const char* kNoun = "compute engine";
-  // naive, blocked, simd (core/engine_registry.cpp).
+  // naive, simd (core/engine_registry.cpp).
   static void register_builtins(Registry<EngineDomain>& registry);
 
  protected:

@@ -9,7 +9,7 @@
 // Both calls dispatch to the process-wide active core::Engine — select it
 // with core::set_active_engine / $RHW_ENGINE / the experiment `engine=` knob
 // (core/engine_registry.hpp, docs/ENGINES.md). The default engine is
-// "simd"; "blocked" is the historical cache-blocked kernel, unchanged.
+// "simd"; "naive" is the reference the tests compare against.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +20,8 @@ void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           float alpha, const float* a, int64_t lda, const float* b, int64_t ldb,
           float beta, float* c, int64_t ldc);
 
-// Reference implementation (naive triple loop) used by tests to validate the
-// blocked kernel.
+// Reference implementation (naive triple loop, double accumulators) behind
+// the "naive" engine, used by tests to validate the simd kernel.
 void gemm_naive(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                 float alpha, const float* a, int64_t lda, const float* b,
                 int64_t ldb, float beta, float* c, int64_t ldc);

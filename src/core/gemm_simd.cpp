@@ -38,44 +38,51 @@ inline vf8 load8(const float* p) {
 inline void store8(float* p, vf8 v) { std::memcpy(p, &v, sizeof(v)); }
 inline vf8 splat8(float x) { return vf8{x, x, x, x, x, x, x, x}; }
 
-// The micro-kernel: an MR x (NRV*8) accumulator tile lives in registers
-// across the entire k loop; A arrives as an MR-wide k-major panel
-// (ap[p*MR + r]) and B as an NRV*8-wide panel (bp[p*NRV*8 + j]), both
+// The tile in 8-float vectors: kTileRows rows of kTileVecs vectors each.
+constexpr int kTileRows = static_cast<int>(SimdEngine::kMr);
+constexpr int kTileVecs = static_cast<int>(SimdEngine::kNr / 8);
+
+// The micro-kernel contract, shared by both ISA copies: a kTileRows x
+// (kTileVecs*8) accumulator tile lives in registers across the entire k
+// loop; A arrives as a kTileRows-wide k-major panel (ap[p*kTileRows + r])
+// and B as a kTileVecs*8-wide panel (bp[p*kTileVecs*8 + j]), both
 // zero-padded to full tile width so edge handling never branches inside the
 // hot loop. alpha is applied once at write-back; the caller has already run
 // the beta prologue, so write-back is a pure +=.
-//
-// always_inline is load-bearing: the body is baseline code, but it inlines
-// into the target("avx2,fma") wrappers below and is then compiled with the
-// caller's ISA — one template, every instruction set.
-template <int MR, int NRV>
-[[gnu::always_inline]] inline void micro_kernel_body(
-    int64_t k, const float* ap, const float* bp, float* c, int64_t ldc,
-    int64_t mr_eff, int64_t nr_eff, float alpha) {
-  vf8 acc[MR][NRV] = {};
+using MicroKernelFn = void (*)(int64_t k, const float* ap, const float* bp,
+                               float* c, int64_t ldc, int64_t mr_eff,
+                               int64_t nr_eff, float alpha);
+using GemvAccumFn = void (*)(bool, int64_t, int64_t, float, const float*,
+                             int64_t, const float*, float*);
+
+// Portable baseline copy: whatever the compiler's default target offers
+// (NEON on aarch64, SSE2 on x86-64, scalar elsewhere).
+void base_kernel(int64_t k, const float* ap, const float* bp, float* c,
+                 int64_t ldc, int64_t mr_eff, int64_t nr_eff, float alpha) {
+  vf8 acc[kTileRows][kTileVecs] = {};
   for (int64_t p = 0; p < k; ++p) {
-    vf8 bv[NRV];
-    const float* brow = bp + p * (NRV * 8);
-    for (int v = 0; v < NRV; ++v) bv[v] = load8(brow + v * 8);
-    const float* arow = ap + p * MR;
-    for (int r = 0; r < MR; ++r) {
+    vf8 bv[kTileVecs];
+    const float* brow = bp + p * (kTileVecs * 8);
+    for (int v = 0; v < kTileVecs; ++v) bv[v] = load8(brow + v * 8);
+    const float* arow = ap + p * kTileRows;
+    for (int r = 0; r < kTileRows; ++r) {
       const vf8 av = splat8(arow[r]);
-      for (int v = 0; v < NRV; ++v) acc[r][v] += av * bv[v];
+      for (int v = 0; v < kTileVecs; ++v) acc[r][v] += av * bv[v];
     }
   }
   const vf8 alphav = splat8(alpha);
-  if (mr_eff == MR && nr_eff == NRV * 8) {
-    for (int r = 0; r < MR; ++r) {
+  if (mr_eff == kTileRows && nr_eff == kTileVecs * 8) {
+    for (int r = 0; r < kTileRows; ++r) {
       float* crow = c + r * ldc;
-      for (int v = 0; v < NRV; ++v) {
+      for (int v = 0; v < kTileVecs; ++v) {
         store8(crow + v * 8, load8(crow + v * 8) + alphav * acc[r][v]);
       }
     }
   } else {
     // Edge tile: spill the full register tile, add back the valid window.
-    float tile[MR][NRV * 8];
-    for (int r = 0; r < MR; ++r) {
-      for (int v = 0; v < NRV; ++v) store8(&tile[r][v * 8], acc[r][v]);
+    float tile[kTileRows][kTileVecs * 8];
+    for (int r = 0; r < kTileRows; ++r) {
+      for (int v = 0; v < kTileVecs; ++v) store8(&tile[r][v * 8], acc[r][v]);
     }
     for (int64_t r = 0; r < mr_eff; ++r) {
       float* crow = c + r * ldc;
@@ -87,6 +94,9 @@ template <int MR, int NRV>
 // y-accumulation half of gemv; the engine method runs the beta/alpha
 // prologue first. Lane-parallel with a fixed split (8-wide body + scalar
 // tail), so the per-element order is a pure function of n — deterministic.
+// always_inline is load-bearing: the body is baseline code, but it inlines
+// into the target("avx2,fma") wrapper below and is then compiled with the
+// caller's ISA — one source, every instruction set.
 [[gnu::always_inline]] inline void gemv_accum_body(bool trans_a, int64_t m,
                                                    int64_t n, float alpha,
                                                    const float* a, int64_t lda,
@@ -118,130 +128,87 @@ template <int MR, int NRV>
   }
 }
 
-#define RHW_KARGS                                                     \
-  int64_t k, const float *ap, const float *bp, float *c, int64_t ldc, \
-      int64_t mr_eff, int64_t nr_eff, float alpha
-#define RHW_KPASS k, ap, bp, c, ldc, mr_eff, nr_eff, alpha
-
-using MicroKernelFn = void (*)(RHW_KARGS);
-using GemvAccumFn = void (*)(bool, int64_t, int64_t, float, const float*,
-                             int64_t, const float*, float*);
-
-// One wrapper per instantiated (mr, nr) tile shape; the table is indexed by
-// mr in {1,2,4,6,8} x nr in {8,16}.
-#define RHW_DEFINE_KERNELS(PREFIX)                                         \
-  void PREFIX##_1x8(RHW_KARGS) { micro_kernel_body<1, 1>(RHW_KPASS); }     \
-  void PREFIX##_2x8(RHW_KARGS) { micro_kernel_body<2, 1>(RHW_KPASS); }     \
-  void PREFIX##_4x8(RHW_KARGS) { micro_kernel_body<4, 1>(RHW_KPASS); }     \
-  void PREFIX##_6x8(RHW_KARGS) { micro_kernel_body<6, 1>(RHW_KPASS); }     \
-  void PREFIX##_8x8(RHW_KARGS) { micro_kernel_body<8, 1>(RHW_KPASS); }     \
-  void PREFIX##_1x16(RHW_KARGS) { micro_kernel_body<1, 2>(RHW_KPASS); }    \
-  void PREFIX##_2x16(RHW_KARGS) { micro_kernel_body<2, 2>(RHW_KPASS); }    \
-  void PREFIX##_4x16(RHW_KARGS) { micro_kernel_body<4, 2>(RHW_KPASS); }    \
-  void PREFIX##_6x16(RHW_KARGS) { micro_kernel_body<6, 2>(RHW_KPASS); }    \
-  void PREFIX##_8x16(RHW_KARGS) { micro_kernel_body<8, 2>(RHW_KPASS); }    \
-  void PREFIX##_gemv(bool trans_a, int64_t m, int64_t n, float alpha,      \
-                     const float* a, int64_t lda, const float* x,          \
-                     float* y) {                                           \
-    gemv_accum_body(trans_a, m, n, alpha, a, lda, x, y);                   \
-  }                                                                        \
-  constexpr MicroKernelFn PREFIX##_table[5][2] = {                         \
-      {PREFIX##_1x8, PREFIX##_1x16}, {PREFIX##_2x8, PREFIX##_2x16},        \
-      {PREFIX##_4x8, PREFIX##_4x16}, {PREFIX##_6x8, PREFIX##_6x16},        \
-      {PREFIX##_8x8, PREFIX##_8x16}};
-
-// Portable baseline: whatever the compiler's default target offers (NEON on
-// aarch64, SSE2 on x86-64, scalar elsewhere).
-RHW_DEFINE_KERNELS(base)
+void base_gemv(bool trans_a, int64_t m, int64_t n, float alpha,
+               const float* a, int64_t lda, const float* x, float* y) {
+  gemv_accum_body(trans_a, m, n, alpha, a, lda, x, y);
+}
 
 #if defined(__x86_64__)
-// Second copy of every kernel for AVX2+FMA hosts, selected at runtime — the
-// binary itself stays runnable on SSE2-only machines. These are hand-written
-// with intrinsics rather than instantiating micro_kernel_body: GCC's
-// generic-vector lowering of the same body spills accumulators and splits
-// broadcasts (vbroadcastss xmm + vinsertf128), costing ~2x; the intrinsic
-// form keeps the tile in ymm registers and lets B loads fold into the FMAs.
-// Macro-stamped plain functions (not templates) because `#pragma GCC target`
-// does not reliably attach to template instantiations.
+// Second copy for AVX2+FMA hosts, selected at runtime — the binary itself
+// stays runnable on SSE2-only machines. The kernel is hand-written with
+// intrinsics rather than reusing base_kernel's body: GCC's generic-vector
+// lowering of that body spills accumulators and splits broadcasts
+// (vbroadcastss xmm + vinsertf128), costing ~2x; the intrinsic form keeps
+// the tile in ymm registers and lets B loads fold into the FMAs. A plain
+// function (not a template) because `#pragma GCC target` does not reliably
+// attach to template instantiations.
 #pragma GCC push_options
 #pragma GCC target("avx2,fma")
 
-#define RHW_AVX2_KERNEL(NAME, MR, NRV)                                       \
-  void NAME(RHW_KARGS) {                                                     \
-    __m256 acc[MR][NRV];                                                     \
-    for (int r = 0; r < MR; ++r) {                                           \
-      for (int v = 0; v < NRV; ++v) acc[r][v] = _mm256_setzero_ps();         \
-    }                                                                        \
-    const float* arow = ap;                                                  \
-    const float* brow = bp;                                                  \
-    int64_t p = 0;                                                           \
-    /* Unrolled by 2: per-element accumulation order stays the plain k     */\
-    /* order (both halves feed the same accumulator back to back), so the  */\
-    /* unroll is invisible numerically — it only hides loop overhead.      */\
-    for (; p + 2 <= k; p += 2, arow += 2 * MR, brow += 2 * NRV * 8) {        \
-      __m256 bv[NRV];                                                        \
-      for (int v = 0; v < NRV; ++v) bv[v] = _mm256_loadu_ps(brow + v * 8);   \
-      for (int r = 0; r < MR; ++r) {                                         \
-        const __m256 av = _mm256_broadcast_ss(arow + r);                     \
-        for (int v = 0; v < NRV; ++v) {                                      \
-          acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);                 \
-        }                                                                    \
-      }                                                                      \
-      for (int v = 0; v < NRV; ++v) {                                        \
-        bv[v] = _mm256_loadu_ps(brow + NRV * 8 + v * 8);                     \
-      }                                                                      \
-      for (int r = 0; r < MR; ++r) {                                         \
-        const __m256 av = _mm256_broadcast_ss(arow + MR + r);                \
-        for (int v = 0; v < NRV; ++v) {                                      \
-          acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);                 \
-        }                                                                    \
-      }                                                                      \
-    }                                                                        \
-    for (; p < k; ++p, arow += MR, brow += NRV * 8) {                        \
-      __m256 bv[NRV];                                                        \
-      for (int v = 0; v < NRV; ++v) bv[v] = _mm256_loadu_ps(brow + v * 8);   \
-      for (int r = 0; r < MR; ++r) {                                         \
-        const __m256 av = _mm256_broadcast_ss(arow + r);                     \
-        for (int v = 0; v < NRV; ++v) {                                      \
-          acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);                 \
-        }                                                                    \
-      }                                                                      \
-    }                                                                        \
-    if (mr_eff == MR && nr_eff == NRV * 8) {                                 \
-      const __m256 alphav = _mm256_set1_ps(alpha);                           \
-      for (int r = 0; r < MR; ++r) {                                         \
-        float* crow = c + r * ldc;                                           \
-        for (int v = 0; v < NRV; ++v) {                                      \
-          const __m256 cv = _mm256_fmadd_ps(alphav, acc[r][v],               \
-                                            _mm256_loadu_ps(crow + v * 8));  \
-          _mm256_storeu_ps(crow + v * 8, cv);                                \
-        }                                                                    \
-      }                                                                      \
-    } else {                                                                 \
-      float tile[MR][NRV * 8];                                               \
-      for (int r = 0; r < MR; ++r) {                                         \
-        for (int v = 0; v < NRV; ++v) {                                      \
-          _mm256_storeu_ps(&tile[r][v * 8], acc[r][v]);                      \
-        }                                                                    \
-      }                                                                      \
-      for (int64_t r = 0; r < mr_eff; ++r) {                                 \
-        float* crow = c + r * ldc;                                           \
-        for (int64_t j = 0; j < nr_eff; ++j) crow[j] += alpha * tile[r][j];  \
-      }                                                                      \
-    }                                                                        \
+void avx2_kernel(int64_t k, const float* ap, const float* bp, float* c,
+                 int64_t ldc, int64_t mr_eff, int64_t nr_eff, float alpha) {
+  __m256 acc[kTileRows][kTileVecs];
+  for (int r = 0; r < kTileRows; ++r) {
+    for (int v = 0; v < kTileVecs; ++v) acc[r][v] = _mm256_setzero_ps();
   }
-
-RHW_AVX2_KERNEL(avx2_1x8, 1, 1)
-RHW_AVX2_KERNEL(avx2_2x8, 2, 1)
-RHW_AVX2_KERNEL(avx2_4x8, 4, 1)
-RHW_AVX2_KERNEL(avx2_6x8, 6, 1)
-RHW_AVX2_KERNEL(avx2_8x8, 8, 1)
-RHW_AVX2_KERNEL(avx2_1x16, 1, 2)
-RHW_AVX2_KERNEL(avx2_2x16, 2, 2)
-RHW_AVX2_KERNEL(avx2_4x16, 4, 2)
-RHW_AVX2_KERNEL(avx2_6x16, 6, 2)
-RHW_AVX2_KERNEL(avx2_8x16, 8, 2)
-#undef RHW_AVX2_KERNEL
+  const float* arow = ap;
+  const float* brow = bp;
+  int64_t p = 0;
+  // Unrolled by 2: per-element accumulation order stays the plain k order
+  // (both halves feed the same accumulator back to back), so the unroll is
+  // invisible numerically — it only hides loop overhead.
+  for (; p + 2 <= k; p += 2, arow += 2 * kTileRows, brow += 2 * kTileVecs * 8) {
+    __m256 bv[kTileVecs];
+    for (int v = 0; v < kTileVecs; ++v) bv[v] = _mm256_loadu_ps(brow + v * 8);
+    for (int r = 0; r < kTileRows; ++r) {
+      const __m256 av = _mm256_broadcast_ss(arow + r);
+      for (int v = 0; v < kTileVecs; ++v) {
+        acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
+      }
+    }
+    for (int v = 0; v < kTileVecs; ++v) {
+      bv[v] = _mm256_loadu_ps(brow + kTileVecs * 8 + v * 8);
+    }
+    for (int r = 0; r < kTileRows; ++r) {
+      const __m256 av = _mm256_broadcast_ss(arow + kTileRows + r);
+      for (int v = 0; v < kTileVecs; ++v) {
+        acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
+      }
+    }
+  }
+  for (; p < k; ++p, arow += kTileRows, brow += kTileVecs * 8) {
+    __m256 bv[kTileVecs];
+    for (int v = 0; v < kTileVecs; ++v) bv[v] = _mm256_loadu_ps(brow + v * 8);
+    for (int r = 0; r < kTileRows; ++r) {
+      const __m256 av = _mm256_broadcast_ss(arow + r);
+      for (int v = 0; v < kTileVecs; ++v) {
+        acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
+      }
+    }
+  }
+  if (mr_eff == kTileRows && nr_eff == kTileVecs * 8) {
+    const __m256 alphav = _mm256_set1_ps(alpha);
+    for (int r = 0; r < kTileRows; ++r) {
+      float* crow = c + r * ldc;
+      for (int v = 0; v < kTileVecs; ++v) {
+        const __m256 cv = _mm256_fmadd_ps(alphav, acc[r][v],
+                                          _mm256_loadu_ps(crow + v * 8));
+        _mm256_storeu_ps(crow + v * 8, cv);
+      }
+    }
+  } else {
+    float tile[kTileRows][kTileVecs * 8];
+    for (int r = 0; r < kTileRows; ++r) {
+      for (int v = 0; v < kTileVecs; ++v) {
+        _mm256_storeu_ps(&tile[r][v * 8], acc[r][v]);
+      }
+    }
+    for (int64_t r = 0; r < mr_eff; ++r) {
+      float* crow = c + r * ldc;
+      for (int64_t j = 0; j < nr_eff; ++j) crow[j] += alpha * tile[r][j];
+    }
+  }
+}
 
 // The generic-vector gemv body compiles cleanly; reuse it under AVX2.
 void avx2_gemv(bool trans_a, int64_t m, int64_t n, float alpha,
@@ -249,35 +216,14 @@ void avx2_gemv(bool trans_a, int64_t m, int64_t n, float alpha,
   gemv_accum_body(trans_a, m, n, alpha, a, lda, x, y);
 }
 
-constexpr MicroKernelFn avx2_table[5][2] = {
-    {avx2_1x8, avx2_1x16}, {avx2_2x8, avx2_2x16}, {avx2_4x8, avx2_4x16},
-    {avx2_6x8, avx2_6x16}, {avx2_8x8, avx2_8x16}};
-
 #pragma GCC pop_options
 #endif
 
-#undef RHW_DEFINE_KERNELS
-#undef RHW_KARGS
-#undef RHW_KPASS
-
-int mr_index(int64_t mr) {
-  switch (mr) {
-    case 1: return 0;
-    case 2: return 1;
-    case 4: return 2;
-    case 6: return 3;
-    case 8: return 4;
-    default: return -1;
-  }
-}
-
-int nr_index(int64_t nr) { return nr == 8 ? 0 : nr == 16 ? 1 : -1; }
-
-MicroKernelFn pick_kernel(int mi, int ni) {
+MicroKernelFn pick_kernel() {
 #if defined(__x86_64__)
-  if (SimdEngine::fast_path()) return avx2_table[mi][ni];
+  if (SimdEngine::fast_path()) return avx2_kernel;
 #endif
-  return base_table[mi][ni];
+  return base_kernel;
 }
 
 GemvAccumFn pick_gemv() {
@@ -287,12 +233,13 @@ GemvAccumFn pick_gemv() {
   return base_gemv;
 }
 
-// Packs op(A) into ceil(m/mr) k-major panels of mr rows each
-// (dst[p*mr + r] = opA[i0+r][p]), zero-padding short panels so the
+// Packs op(A) into ceil(m/kMr) k-major panels of kMr rows each
+// (dst[p*kMr + r] = opA[i0+r][p]), zero-padding short panels so the
 // micro-kernel never reads past the matrix. Padding rows contribute nothing
 // to valid outputs and padded outputs are never written back.
 void pack_a(bool trans_a, int64_t m, int64_t k, const float* a, int64_t lda,
-            int64_t mr, float* out) {
+            float* out) {
+  constexpr int64_t mr = SimdEngine::kMr;
   const int64_t panels = (m + mr - 1) / mr;
   for (int64_t pi = 0; pi < panels; ++pi) {
     const int64_t i0 = pi * mr;
@@ -315,10 +262,11 @@ void pack_a(bool trans_a, int64_t m, int64_t k, const float* a, int64_t lda,
   }
 }
 
-// Packs op(B) into ceil(n/nr) panels of nr columns (dst[p*nr + j] =
+// Packs op(B) into ceil(n/kNr) panels of kNr columns (dst[p*kNr + j] =
 // opB[p][j0+j]), zero-padded like pack_a.
 void pack_b(bool trans_b, int64_t k, int64_t n, const float* b, int64_t ldb,
-            int64_t nr, float* out) {
+            float* out) {
+  constexpr int64_t nr = SimdEngine::kNr;
   const int64_t panels = (n + nr - 1) / nr;
   for (int64_t pj = 0; pj < panels; ++pj) {
     const int64_t j0 = pj * nr;
@@ -355,23 +303,11 @@ bool SimdEngine::fast_path() {
 #endif
 }
 
-SimdEngine::SimdEngine(const Config& cfg)
-    : Engine("simd:mr=" + std::to_string(cfg.mr) +
-             ",nr=" + std::to_string(cfg.nr) +
-             ",threads=" + std::to_string(cfg.threads)),
-      cfg_(cfg) {
-  if (mr_index(cfg.mr) < 0) {
-    throw std::invalid_argument("engine simd: mr=" + std::to_string(cfg.mr) +
-                                " has no instantiated kernel (one of 1, 2, "
-                                "4, 6, 8)");
-  }
-  if (nr_index(cfg.nr) < 0) {
-    throw std::invalid_argument("engine simd: nr=" + std::to_string(cfg.nr) +
-                                " has no instantiated kernel (8 or 16)");
-  }
-  if (cfg.threads != 0 && cfg.threads != 1) {
+SimdEngine::SimdEngine(uint64_t threads)
+    : Engine("simd:threads=" + std::to_string(threads)), threads_(threads) {
+  if (threads != 0 && threads != 1) {
     throw std::invalid_argument(
-        "engine simd: threads=" + std::to_string(cfg.threads) +
+        "engine simd: threads=" + std::to_string(threads) +
         " is not a thread mode (0 = shared pool, 1 = serial)");
   }
 }
@@ -383,12 +319,12 @@ void SimdEngine::gemm(bool trans_a, bool trans_b, int64_t m, int64_t n,
   detail::scale_c(m, n, beta, c, ldc);
   if (m == 0 || n == 0 || k == 0 || alpha == 0.f) return;
 
-  const int64_t mr = cfg_.mr, nr = cfg_.nr;
+  constexpr int64_t mr = kMr, nr = kNr;
   const int64_t mpanels = (m + mr - 1) / mr;
   const int64_t npanels = (n + nr - 1) / nr;
   std::vector<float> ap(static_cast<size_t>(mpanels * mr * k));
-  pack_a(trans_a, m, k, a, lda, mr, ap.data());
-  const MicroKernelFn kern = pick_kernel(mr_index(mr), nr_index(nr));
+  pack_a(trans_a, m, k, a, lda, ap.data());
+  const MicroKernelFn kern = pick_kernel();
 
   // B is packed a block of whole nr-wide panels at a time, never in full: a
   // block holds as many panels as fit kBBlockBytes (at least one, at most
@@ -426,7 +362,7 @@ void SimdEngine::gemm(bool trans_a, bool trans_b, int64_t m, int64_t n,
     for (int64_t blk = blk_begin; blk < blk_end; ++blk) {
       const int64_t j0 = blk * block_cols;
       const int64_t cols = std::min(block_cols, n - j0);
-      pack_b(trans_b, k, cols, b + j0 * col_step, ldb, nr, bp.data());
+      pack_b(trans_b, k, cols, b + j0 * col_step, ldb, bp.data());
       tiles(0, mpanels, bp.data(), j0, cols);
     }
   };
@@ -436,7 +372,7 @@ void SimdEngine::gemm(bool trans_a, bool trans_b, int64_t m, int64_t n,
   // size) gives bit-identical results. threads=1 forces serial; small
   // products stay serial to skip synchronization overhead.
   const int64_t flops = m * n * k;
-  if (cfg_.threads == 1 || flops < (1 << 16)) {
+  if (threads_ == 1 || flops < (1 << 16)) {
     run_blocks(0, nblocks);
     return;
   }
@@ -448,7 +384,7 @@ void SimdEngine::gemm(bool trans_a, bool trans_b, int64_t m, int64_t n,
   // Too few B blocks to feed the pool: B is small (under `lanes` blocks),
   // so pack it once and split over A's row panels instead.
   std::vector<float> bp(static_cast<size_t>(npanels * panel_floats));
-  pack_b(trans_b, k, n, b, ldb, nr, bp.data());
+  pack_b(trans_b, k, n, b, ldb, bp.data());
   parallel_for(mpanels, [&](int64_t pi0, int64_t pi1) {
     tiles(pi0, pi1, bp.data(), 0, n);
   });

@@ -1,23 +1,21 @@
 // SimdEngine: register-tiled packed-panel GEMM (the `simd` engine key).
 //
-// The micro-kernel keeps an MR x NR accumulator tile in registers across the
-// whole k loop, reading A from MR-wide k-major packed panels and B from
-// NR-wide packed panels. The kernel body is written with GCC vector
-// extensions (8-float lanes), so one source compiles everywhere:
+// The micro-kernel keeps a 6 x 16 accumulator tile in registers across the
+// whole k loop, reading A from 6-wide k-major packed panels and B from
+// 16-wide packed panels. One source compiles everywhere:
 //
-//   * x86-64: a second copy of every micro-kernel is built with
+//   * x86-64: a second copy of the micro-kernel is built with
 //     target("avx2,fma") and selected at runtime via __builtin_cpu_supports —
 //     no global -mavx2 flag, the binary still runs on SSE2-only hosts;
-//   * aarch64: the baseline copy lowers to NEON (Advanced SIMD is baseline);
+//   * aarch64: the baseline copy (GCC vector extensions, 8-float lanes)
+//     lowers to NEON (Advanced SIMD is baseline);
 //   * anywhere else: the baseline copy lowers to whatever the target has,
 //     worst case scalar code — the portable fallback.
 //
-// Tile shape is spec-selectable (mr in {1,2,4,6,8}, nr in {8,16}); 6x16 is
-// the default — a 6x2-vector accumulator tile plus one B strip fills the
-// sixteen 256-bit registers of AVX2, and it measured fastest on the VGG-8
-// conv GEMM shape. B is packed in bounded per-task blocks (kBBlockBytes).
-// This is the default engine; docs/ENGINES.md has the knob table and
-// measured impact.
+// The tile is fixed at 6x16: a 6x2-vector accumulator tile plus one B strip
+// fills the sixteen 256-bit registers of AVX2, and it measured fastest on
+// the VGG-8 conv GEMM shape (docs/ENGINES.md). B is packed in bounded
+// per-task blocks (kBBlockBytes). This is the default engine.
 #pragma once
 
 #include "core/engine.hpp"
@@ -26,20 +24,19 @@ namespace rhw::core {
 
 class SimdEngine : public Engine {
  public:
-  struct Config {
-    int64_t mr = 6;       // micro-tile rows, one of {1, 2, 4, 6, 8}
-    int64_t nr = 16;      // micro-tile cols, one of {8, 16}
-    int64_t threads = 0;  // 0 = shared pool; 1 = always serial
-  };
-  // Throws std::invalid_argument (naming the offending knob) on a tile
-  // shape outside the instantiated set or a threads value other than 0/1.
-  explicit SimdEngine(const Config& cfg);
+  // threads: 0 = shared pool, 1 = always serial. Throws
+  // std::invalid_argument on any other value.
+  explicit SimdEngine(uint64_t threads);
 
   std::string key() const override { return "simd"; }
 
+  // Micro-tile rows and columns.
+  static constexpr int64_t kMr = 6;
+  static constexpr int64_t kNr = 16;
+
   // Packed-B bytes one gemm task holds at a time (a fraction of a typical
-  // L2): B is packed in blocks of max(1, kBBlockBytes / (nr * k * 4)) whole
-  // nr-wide panels. gemm splits over these blocks when there are at least
+  // L2): B is packed in blocks of max(1, kBBlockBytes / (kNr * k * 4)) whole
+  // kNr-wide panels. gemm splits over these blocks when there are at least
   // as many as pool lanes, else over A's row panels with B packed once.
   static constexpr int64_t kBBlockBytes = int64_t{64} << 10;
 
@@ -59,7 +56,7 @@ class SimdEngine : public Engine {
   static bool fast_path();
 
  private:
-  Config cfg_;
+  uint64_t threads_;
 };
 
 }  // namespace rhw::core

@@ -1,7 +1,7 @@
 #include "core/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <exception>
 
 namespace rhw {
 
@@ -39,7 +39,7 @@ void ThreadPool::worker_loop() {
     task.fn(task.begin, task.end);
     {
       std::lock_guard lock(mutex_);
-      if (--outstanding_ == 0) cv_done_.notify_all();
+      if (--*task.pending == 0) cv_done_.notify_all();
     }
   }
 }
@@ -56,22 +56,33 @@ void ThreadPool::parallel_for(int64_t n,
   const int64_t step = (n + chunks - 1) / chunks;
 
   // The calling thread takes the first chunk itself; the rest go to the pool.
+  // Completion is counted per call, so concurrent callers (sweep lanes) never
+  // wait on each other's chunks.
+  int64_t pending = 0;
   {
     std::lock_guard lock(mutex_);
     for (int64_t c = 1; c < chunks; ++c) {
       const int64_t b = c * step;
       const int64_t e = std::min<int64_t>(n, b + step);
       if (b >= e) continue;
-      queue_.push_back(Task{fn, b, e});
-      ++outstanding_;
+      queue_.push_back(Task{fn, b, e, &pending});
+      ++pending;
     }
   }
   cv_task_.notify_all();
-  fn(0, std::min<int64_t>(step, n));
+  // Workers hold &pending until their chunks finish, so wait even when the
+  // caller's own chunk throws.
+  std::exception_ptr error;
+  try {
+    fn(0, std::min<int64_t>(step, n));
+  } catch (...) {
+    error = std::current_exception();
+  }
   {
     std::unique_lock lock(mutex_);
-    cv_done_.wait(lock, [this] { return outstanding_ == 0; });
+    cv_done_.wait(lock, [&pending] { return pending == 0; });
   }
+  if (error) std::rethrow_exception(error);
 }
 
 ThreadPool& global_pool() {

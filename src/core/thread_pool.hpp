@@ -25,8 +25,9 @@ class ThreadPool {
 
   // Runs fn(chunk_begin, chunk_end) over [0, n) split into roughly equal
   // contiguous chunks, one per worker (plus the calling thread). Blocks until
-  // every chunk completes. Reentrant calls from inside a worker fall back to
-  // serial execution to avoid deadlock.
+  // every chunk of this call completes — never on chunks that concurrent
+  // callers queued. Reentrant calls from inside a worker fall back to serial
+  // execution to avoid deadlock.
   void parallel_for(int64_t n,
                     const std::function<void(int64_t, int64_t)>& fn);
 
@@ -35,6 +36,7 @@ class ThreadPool {
     std::function<void(int64_t, int64_t)> fn;
     int64_t begin = 0;
     int64_t end = 0;
+    int64_t* pending = nullptr;  // the issuing call's unfinished chunk count
   };
 
   void worker_loop();
@@ -43,8 +45,7 @@ class ThreadPool {
   std::mutex mutex_;
   std::condition_variable cv_task_;
   std::condition_variable cv_done_;
-  std::vector<Task> queue_;
-  int64_t outstanding_ = 0;
+  std::vector<Task> queue_;  // guarded by mutex_, as is every *Task::pending
   bool stop_ = false;
 };
 

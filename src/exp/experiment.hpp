@@ -12,7 +12,7 @@
 //   sections   spec strings per domain   model=vgg8:width=0.125,in=16
 //                                        dataset=tiny:classes=10,train=100
 //                                        train=quick:epochs=4
-//                                        engine=simd:mr=6,nr=16
+//                                        engine=simd:threads=1
 //   lists      axis+=item (append)       backends+=xbar:rmin=1e5+smooth:sigma=0.25
 //              axis=item  (replace)      attacks=pgd@0.031,0.062
 //              axis=      (clear)        modes=
@@ -97,7 +97,7 @@ struct ExperimentSpec {
   std::vector<ExperimentPanel> panels;
   std::string train = "zoo";  // "zoo" | "quick[:epochs=,batch=]" | "none"
   // core::EngineRegistry spec every kernel of the run dispatches through
-  // ("naive" | "blocked:bk=,bn=" | "simd:mr=,nr="). "" defers to $RHW_ENGINE
+  // ("naive" | "simd[:threads=0|1]"). "" defers to $RHW_ENGINE
   // (default "simd"); the driver resolves it to the active engine's
   // canonical spec before stamping, so artifacts always record the engine.
   std::string engine;

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "core/engine_registry.hpp"
 #include "nn/init.hpp"
 #include "nn/loss.hpp"
 #include "nn/model_io.hpp"
@@ -139,8 +140,10 @@ TrainedModel get_trained(const std::string& arch,
                 : default_train_config(arch, data.train.num_classes);
   TrainedModel out;
   out.model = build_model(arch, data.train.num_classes);
-  const std::string path =
-      zoo_cache_dir() + "/" + arch + "_" + dataset_name + ".ckpt";
+  // Keyed by engine too: engines round differently, so weights trained under
+  // one are not the weights another would train.
+  const std::string path = zoo_cache_dir() + "/" + arch + "_" + dataset_name +
+                           "_" + core::active_engine().key() + ".ckpt";
   if (rhw::file_exists(path)) {
     nn::load_model(*out.model.net, path);
     out.model.net->set_training(false);

@@ -2,8 +2,9 @@
 //
 // Training a model takes minutes on CPU, so every binary (tests, benches,
 // examples) shares one on-disk cache of trained weights keyed by
-// "<arch>_<dataset>". The default cache directory is <build>/zoo_cache
-// (compile-time constant), overridable with the RHW_ZOO_CACHE env var.
+// "<arch>_<dataset>_<engine key>". The default cache directory is
+// <build>/zoo_cache (compile-time constant), overridable with the
+// RHW_ZOO_CACHE env var.
 #pragma once
 
 #include <optional>
@@ -57,9 +58,10 @@ struct TrainedModel {
   double test_accuracy = 0.0;  // clean accuracy on data.test
 };
 
-// Load-or-train entry point used by all experiments. dataset_name is the key
-// for the cache file ("synth-c10" / "synth-c100"). Without an explicit
-// config, default_train_config(arch, classes) is used.
+// Load-or-train entry point used by all experiments. The cache file is
+// <zoo_cache_dir()>/<arch>_<dataset_name>_<active engine key>.ckpt
+// (dataset_name is e.g. "synth-c10"). Without an explicit config,
+// default_train_config(arch, classes) is used.
 TrainedModel get_trained(const std::string& arch,
                          const std::string& dataset_name,
                          const data::SynthCifar& data,

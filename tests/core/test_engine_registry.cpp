@@ -1,7 +1,8 @@
-// EngineRegistry seam tests: engine knob validation, the numeric contract from engine.hpp (alpha==0 / beta==0 /
-// NaN propagation / zero_skip opt-out), per-engine parity versus the naive
-// reference, the fused batched conv against a per-sample reference, and the
-// active-engine selection machinery (EngineScope, determinism).
+// EngineRegistry seam tests: engine knob validation, the numeric contract
+// from engine.hpp (alpha==0 / beta==0 / NaN propagation), simd parity versus
+// the naive reference, the fused batched conv against a per-sample
+// reference, and the active-engine selection machinery (EngineScope,
+// determinism).
 #include "core/engine_registry.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -38,27 +40,41 @@ float flop_tol(int64_t k) {
   return 1e-6f * static_cast<float>(std::max<int64_t>(k, 1)) * 8.f + 1e-6f;
 }
 
-const char* const kAllEngines[] = {"naive", "blocked", "simd"};
+const char* const kAllEngines[] = {"naive", "simd"};
+
+// The exact error make_engine(spec) throws.
+std::string engine_error(const std::string& spec) {
+  try {
+    core::make_engine(spec);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "no error for '" + spec + "'";
+}
 
 // -- registry surface ---------------------------------------------------------
 
 TEST(EngineRegistry, UnknownOptionThrows) {
   EXPECT_THROW(core::make_engine("naive:x=1"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
-  EXPECT_THROW(core::make_engine("blocked:bogus=1"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
   EXPECT_THROW(core::make_engine("simd:lanes=4"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
+  // The tile is fixed at 6x16; the old tile knobs are unknown options.
+  EXPECT_EQ(engine_error("simd:mr=6"),  // rhw-lint: allow(spec) stale on purpose
+            "engine spec 'simd:mr=6': engine simd: unknown option(s): mr");
+}
+
+TEST(EngineRegistry, RemovedBlockedKeyIsUnknown) {
+  EXPECT_EQ(engine_error("blocked"),
+            "unknown compute engine 'blocked'; registered: naive simd");
 }
 
 TEST(EngineRegistry, InvalidKnobValuesThrow) {
-  EXPECT_THROW(core::make_engine("blocked:bk=0"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
-  EXPECT_THROW(core::make_engine("blocked:bn=-4"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
-  EXPECT_THROW(core::make_engine("simd:mr=3"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
-  EXPECT_THROW(core::make_engine("simd:nr=12"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
-  EXPECT_THROW(core::make_engine("simd:mr=7.5"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
+  EXPECT_THROW(core::make_engine("simd:threads=-1"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
+  EXPECT_THROW(core::make_engine("simd:threads=0.5"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
+  EXPECT_THROW(core::make_engine("simd:threads=2"), std::invalid_argument);  // rhw-lint: allow(spec) stale on purpose
 }
 
 TEST(EngineRegistry, SimdThreadsIsZeroOrOne) {
-  EXPECT_EQ(core::make_engine("simd:threads=1")->spec(),
-            "simd:mr=6,nr=16,threads=1");
+  EXPECT_EQ(core::make_engine("simd:threads=1")->spec(), "simd:threads=1");
   try {
     core::make_engine("simd:threads=3");  // rhw-lint: allow(spec) stale on purpose
     FAIL() << "simd:threads=3 must be rejected";
@@ -67,17 +83,16 @@ TEST(EngineRegistry, SimdThreadsIsZeroOrOne) {
                  "engine spec 'simd:threads=3': engine simd: threads=3 is not "
                  "a thread mode (0 = shared pool, 1 = serial)");
   }
+  // The rejected value is reported as written, not wrapped to a signed one.
+  EXPECT_EQ(engine_error("simd:threads=18446744073709551615"),  // rhw-lint: allow(spec) stale on purpose
+            "engine spec 'simd:threads=18446744073709551615': engine simd: "
+            "threads=18446744073709551615 is not a thread mode (0 = shared "
+            "pool, 1 = serial)");
 }
 
 TEST(EngineRegistry, CanonicalSpecSpellsOutEveryKnob) {
   EXPECT_EQ(core::make_engine("naive")->spec(), "naive");
-  EXPECT_EQ(core::make_engine("blocked")->spec(),
-            "blocked:bk=256,bn=512,zero_skip=0");
-  EXPECT_EQ(core::make_engine("blocked:bk=64")->spec(),
-            "blocked:bk=64,bn=512,zero_skip=0");
-  EXPECT_EQ(core::make_engine("simd")->spec(), "simd:mr=6,nr=16,threads=0");
-  EXPECT_EQ(core::make_engine("simd:mr=8,nr=8")->spec(),
-            "simd:mr=8,nr=8,threads=0");
+  EXPECT_EQ(core::make_engine("simd")->spec(), "simd:threads=0");
   // Canonical specs round-trip through the registry unchanged.
   for (const char* key : kAllEngines) {
     const auto spec = core::make_engine(key)->spec();
@@ -114,7 +129,7 @@ TEST_P(EngineContract, BetaZeroOverwritesStaleNaN) {
 
 TEST_P(EngineContract, NaNInInputsPropagates) {
   // A zero row in A multiplying a NaN in B still yields NaN (0 * NaN = NaN)
-  // for every default-configured engine — zero_skip is opt-in.
+  // for every engine.
   auto engine = core::make_engine(GetParam());
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const std::vector<float> a{0, 0, 1, 1};   // row 0 all zeros
@@ -145,25 +160,6 @@ TEST_P(EngineContract, DeterministicAcrossRepeats) {
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineContract,
                          ::testing::ValuesIn(kAllEngines));
-
-TEST(EngineContract, ZeroSkipDropsNaNPropagation) {
-  // blocked:zero_skip=1 restores the historical fast path: a zero element of
-  // A skips its multiply, so NaN in the corresponding B row is dropped.
-  auto skipping = core::make_engine("blocked:zero_skip=1");
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  const std::vector<float> a{0, 1};  // 1x2, first element zero
-  const std::vector<float> b{nan, 2};  // 2x1, NaN sits on the skipped row
-  std::vector<float> c{0.f};
-  skipping->gemm(false, false, 1, 1, 2, 1.f, a.data(), 2, b.data(), 1, 0.f,
-                 c.data(), 1);
-  EXPECT_FLOAT_EQ(c[0], 2.f) << "zero_skip=1 should skip the 0 * NaN term";
-
-  auto strict = core::make_engine("blocked:zero_skip=0");
-  c[0] = 0.f;
-  strict->gemm(false, false, 1, 1, 2, 1.f, a.data(), 2, b.data(), 1, 0.f,
-               c.data(), 1);
-  EXPECT_TRUE(std::isnan(c[0])) << "default blocked must propagate NaN";
-}
 
 // -- parity versus naive ------------------------------------------------------
 
@@ -204,17 +200,15 @@ TEST_P(EngineParity, MatchesNaiveAcrossShapes) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, EngineParity,
-    ::testing::Combine(::testing::Values("blocked", "blocked:bk=16,bn=32",
-                                         "simd", "simd:mr=1,nr=8",
-                                         "simd:mr=8,nr=8", "simd:mr=4,nr=16",
-                                         "simd:threads=1"),
+    ::testing::Combine(::testing::Values("simd", "simd:threads=1"),
                        ::testing::Bool(), ::testing::Bool()));
 
 // -- simd split and packing contract -----------------------------------------
 
-// Columns in one packed-B block of a simd engine with tile width nr at this k
+// Columns in one packed-B block of the simd engine at this k
 // (SimdEngine::kBBlockBytes), and the lane count the shared pool feeds.
-int64_t simd_block_cols(int64_t nr, int64_t k) {
+int64_t simd_block_cols(int64_t k) {
+  constexpr int64_t nr = core::SimdEngine::kNr;
   const int64_t panels = std::max<int64_t>(
       1, core::SimdEngine::kBBlockBytes /
              (nr * k * static_cast<int64_t>(sizeof(float))));
@@ -232,10 +226,11 @@ class SimdSplit : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
 TEST_P(SimdSplit, ParallelEqualsSerialBitwise) {
   const auto [ta, tb] = GetParam();
   const int64_t k = 64;
-  const int64_t block = simd_block_cols(16, k);
+  const int64_t block = simd_block_cols(k);
   // >= max(3, lanes) blocks, the last one ragged, its last panel ragged too.
   const int64_t wide = (std::max<int64_t>(3, pool_lanes()) + 1) * block + 37;
-  ASSERT_NE(wide % 16, 0);
+  ASSERT_NE(wide % core::SimdEngine::kNr, 0);
+  ASSERT_LT(4, core::SimdEngine::kMr);
   struct Shape {
     const char* what;
     int64_t m, n;
@@ -245,34 +240,28 @@ TEST_P(SimdSplit, ParallelEqualsSerialBitwise) {
       {"n-split, m < mr", 4, wide},
       {"row-panel fallback, small n", 97, 35},
   };
-  const std::pair<const char*, const char*> engines[] = {
-      {"simd", "simd:threads=1"},
-      {"simd:mr=4,nr=8", "simd:mr=4,nr=8,threads=1"}};
-  for (const auto& [spec, serial_spec] : engines) {
-    auto pooled = core::make_engine(spec);
-    auto serial = core::make_engine(serial_spec);
-    auto naive = core::make_engine("naive");
-    for (const auto& s : shapes) {
-      RandomEngine rng(static_cast<uint64_t>(s.m * 131 + s.n) + (ta ? 1 : 0) +
-                       (tb ? 2 : 0));
-      const int64_t lda = (ta ? s.m : k) + 3;
-      const int64_t ldb = (tb ? k : s.n) + 5;  // > n when B is not transposed
-      const int64_t ldc = s.n + 7;
-      const auto a = random_matrix(ta ? k : s.m, lda, rng);
-      const auto b = random_matrix(tb ? s.n : k, ldb, rng);
-      std::vector<float> c(static_cast<size_t>(s.m * ldc), 0.25f);
-      std::vector<float> c_serial = c, c_ref = c;
-      pooled->gemm(ta, tb, s.m, s.n, k, 0.9f, a.data(), lda, b.data(), ldb,
-                   0.4f, c.data(), ldc);
-      serial->gemm(ta, tb, s.m, s.n, k, 0.9f, a.data(), lda, b.data(), ldb,
-                   0.4f, c_serial.data(), ldc);
-      naive->gemm(ta, tb, s.m, s.n, k, 0.9f, a.data(), lda, b.data(), ldb,
-                  0.4f, c_ref.data(), ldc);
-      ASSERT_EQ(c, c_serial) << spec << " " << s.what;
-      for (size_t i = 0; i < c.size(); ++i) {
-        ASSERT_NEAR(c[i], c_ref[i], flop_tol(k)) << spec << " " << s.what
-                                                 << " at " << i;
-      }
+  auto pooled = core::make_engine("simd");
+  auto serial = core::make_engine("simd:threads=1");
+  auto naive = core::make_engine("naive");
+  for (const auto& s : shapes) {
+    RandomEngine rng(static_cast<uint64_t>(s.m * 131 + s.n) + (ta ? 1 : 0) +
+                     (tb ? 2 : 0));
+    const int64_t lda = (ta ? s.m : k) + 3;
+    const int64_t ldb = (tb ? k : s.n) + 5;  // > n when B is not transposed
+    const int64_t ldc = s.n + 7;
+    const auto a = random_matrix(ta ? k : s.m, lda, rng);
+    const auto b = random_matrix(tb ? s.n : k, ldb, rng);
+    std::vector<float> c(static_cast<size_t>(s.m * ldc), 0.25f);
+    std::vector<float> c_serial = c, c_ref = c;
+    pooled->gemm(ta, tb, s.m, s.n, k, 0.9f, a.data(), lda, b.data(), ldb,
+                 0.4f, c.data(), ldc);
+    serial->gemm(ta, tb, s.m, s.n, k, 0.9f, a.data(), lda, b.data(), ldb,
+                 0.4f, c_serial.data(), ldc);
+    naive->gemm(ta, tb, s.m, s.n, k, 0.9f, a.data(), lda, b.data(), ldb,
+                0.4f, c_ref.data(), ldc);
+    ASSERT_EQ(c, c_serial) << s.what;
+    for (size_t i = 0; i < c.size(); ++i) {
+      ASSERT_NEAR(c[i], c_ref[i], flop_tol(k)) << s.what << " at " << i;
     }
   }
 }
@@ -491,8 +480,8 @@ TEST(EngineConv, SimdWideBatchParallelEqualsSerialBitwise) {
   const ConvGeom g{4, 12, 12, 3, 3, 1, 1};
   const int64_t out_c = 8;
   const int64_t ohw = g.col_cols();
-  const int64_t widest_block = std::max(simd_block_cols(16, g.col_rows()),
-                                        simd_block_cols(16, out_c));
+  const int64_t widest_block =
+      std::max(simd_block_cols(g.col_rows()), simd_block_cols(out_c));
   const int64_t batch = (pool_lanes() + 1) * widest_block / ohw + 1;
   RandomEngine rng(81);
   const auto input = random_matrix(batch, g.in_c * g.in_h * g.in_w, rng);
@@ -531,34 +520,48 @@ TEST(EngineScope, SelectsAndRestores) {
     core::EngineScope scope("naive");
     EXPECT_EQ(core::active_engine().spec(), "naive");
     {
-      core::EngineScope inner("simd:mr=8,nr=8");
-      EXPECT_EQ(core::active_engine().spec(), "simd:mr=8,nr=8,threads=0");
+      core::EngineScope inner("simd:threads=1");
+      EXPECT_EQ(core::active_engine().spec(), "simd:threads=1");
     }
     EXPECT_EQ(core::active_engine().spec(), "naive");
   }
   EXPECT_EQ(core::active_engine().spec(), before);
 }
 
+// An engine that only records that its gemm ran.
+class RecordingEngine : public core::Engine {
+ public:
+  explicit RecordingEngine(bool* called)
+      : core::Engine("recording"), called_(called) {}
+  std::string key() const override { return "recording"; }
+  void gemm(bool, bool, int64_t, int64_t, int64_t, float, const float*,
+            int64_t, const float*, int64_t, float, float*,
+            int64_t) const override {
+    *called_ = true;
+  }
+
+ private:
+  bool* called_;
+};
+
 TEST(EngineScope, FreeGemmRoutesThroughActiveEngine) {
-  // zero_skip=1 is observable through the free-function dispatcher: the
-  // 0 * NaN term disappears exactly when that engine is active.
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  const std::vector<float> a{0, 1};
-  const std::vector<float> b{nan, 2};
+  // The free-function dispatcher reaches the scoped engine, and only while
+  // its scope is open.
+  bool called = false;
   std::vector<float> c{0.f};
+  const std::vector<float> a{1.f}, b{1.f};
   {
-    core::EngineScope scope("blocked:zero_skip=1");
-    gemm(false, false, 1, 1, 2, 1.f, a.data(), 2, b.data(), 1, 0.f, c.data(),
+    core::EngineScope scope(std::make_shared<RecordingEngine>(&called));
+    gemm(false, false, 1, 1, 1, 1.f, a.data(), 1, b.data(), 1, 0.f, c.data(),
          1);
   }
-  EXPECT_FLOAT_EQ(c[0], 2.f);
-  c[0] = 0.f;
-  {
-    core::EngineScope scope("blocked");
-    gemm(false, false, 1, 1, 2, 1.f, a.data(), 2, b.data(), 1, 0.f, c.data(),
-         1);
-  }
-  EXPECT_TRUE(std::isnan(c[0]));
+  EXPECT_TRUE(called);
+  EXPECT_FLOAT_EQ(c[0], 0.f);
+  called = false;
+  gemm(false, false, 1, 1, 1, 1.f, a.data(), 1, b.data(), 1, 0.f, c.data(),
+       1);
+  EXPECT_FALSE(called);
+  EXPECT_FLOAT_EQ(c[0], 1.f);
 }
 
 TEST(EngineScope, SetActiveEngineRejectsNull) {

@@ -184,22 +184,23 @@ struct EngineCase {
   static constexpr const char* kName = "engine";
   static constexpr const char* kNoun = "compute engine";
   static std::vector<std::string> builtins() {
-    return {"blocked", "naive", "simd"};
+    return {"naive", "simd"};
   }
   static constexpr const char* kUnknownKey = "cublas";
   static constexpr BadSpec kMalformed[] = {
-      {"blocked:bk", "engine spec 'blocked:bk': option 'bk' is not key=value"}};
+      {"simd:threads",
+       "engine spec 'simd:threads': option 'threads' is not key=value"}};
   static constexpr BadSpec kGarbage[] = {
-      {"blocked:bk=64x",  // rhw-lint: allow(spec) stale on purpose
-       "engine spec 'blocked:bk=64x': engine option bk: bad non-negative "
-       "integer '64x'"},
-      {"blocked:bk=abc",  // rhw-lint: allow(spec) stale on purpose
-       "engine spec 'blocked:bk=abc': engine option bk: bad non-negative "
-       "integer 'abc'"}};
+      {"simd:threads=1x",  // rhw-lint: allow(spec) stale on purpose
+       "engine spec 'simd:threads=1x': engine option threads: bad "
+       "non-negative integer '1x'"},
+      {"simd:threads=abc",  // rhw-lint: allow(spec) stale on purpose
+       "engine spec 'simd:threads=abc': engine option threads: bad "
+       "non-negative integer 'abc'"}};
   static constexpr BadSpec kNegative[] = {
-      {"blocked:bn=-4",  // rhw-lint: allow(spec) stale on purpose
-       "engine spec 'blocked:bn=-4': engine option bn: bad non-negative "
-       "integer '-4'"}};
+      {"simd:threads=-4",  // rhw-lint: allow(spec) stale on purpose
+       "engine spec 'simd:threads=-4': engine option threads: bad "
+       "non-negative integer '-4'"}};
   static constexpr BadSpec kFactoryError{
       "simd:lanes=4",  // rhw-lint: allow(spec) stale on purpose
       "engine spec 'simd:lanes=4': engine simd: unknown option(s): lanes"};

@@ -148,11 +148,11 @@ TEST(ExperimentOverrides, EngineKnobValidatesAndRoundTrips) {
   ExperimentSpec spec = ExperimentRegistry::instance().preset("sweep_smoke");
   EXPECT_TRUE(spec.engine.empty());  // presets defer to $RHW_ENGINE
 
-  spec.apply_override("engine=simd:mr=8,nr=8");
-  EXPECT_EQ(spec.engine, "simd:mr=8,nr=8");
+  spec.apply_override("engine=simd:threads=1");
+  EXPECT_EQ(spec.engine, "simd:threads=1");
   EXPECT_NO_THROW(spec.validate());
   const auto args = spec.to_args();
-  EXPECT_TRUE(std::find(args.begin(), args.end(), "engine=simd:mr=8,nr=8") !=
+  EXPECT_TRUE(std::find(args.begin(), args.end(), "engine=simd:threads=1") !=
               args.end());
 
   // engine= with an empty value restores the deferred default, and the token
@@ -171,10 +171,11 @@ TEST(ExperimentOverrides, EngineKnobValidatesAndRoundTrips) {
     EXPECT_NE(what.find("unknown compute engine"), std::string::npos) << what;
     EXPECT_NE(what.find("cublas"), std::string::npos) << what;
   }
-  EXPECT_THROW(spec.apply_override("engine=simd:mr=3"), std::invalid_argument);
+  EXPECT_THROW(spec.apply_override("engine=simd:threads=3"),
+               std::invalid_argument);
   // A stale engine token planted directly in the spec is caught by the same
   // up-front validate() that vets hw/defense/attack specs.
-  spec.engine = "blocked:bk=0";  // rhw-lint: allow(spec) stale on purpose
+  spec.engine = "simd:threads=2";  // rhw-lint: allow(spec) stale on purpose
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 }
 

@@ -93,7 +93,7 @@ class MergeTest : public ::testing::Test {
   static ExperimentStamp make_stamp() {
     ExperimentStamp stamp;
     stamp.preset = "merge_unit";
-    stamp.canonical = {"panels+=vgg8/tiny", "engine=blocked:bk=64,bn=64",
+    stamp.canonical = {"panels+=vgg8/tiny", "engine=simd:threads=1",
                        "trials=2", "seed=12345", "out=BENCH_merge_unit.json"};
     return stamp;
   }
@@ -205,7 +205,7 @@ TEST_F(MergeTest, MismatchedEngineStampRefusesBeforeSpecDiff) {
         other.cells.end());
     other.experiment.shard_index = 1;
     other.experiment.shard_count = 2;
-    other.experiment.canonical[1] = "engine=simd:mr=8,nr=8";
+    other.experiment.canonical[1] = "engine=naive";
     other.write_json(b, "merge_test");
   }
   try {
@@ -214,8 +214,8 @@ TEST_F(MergeTest, MismatchedEngineStampRefusesBeforeSpecDiff) {
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("engine stamp mismatch"), std::string::npos) << what;
-    EXPECT_NE(what.find("engine=blocked:bk=64,bn=64"), std::string::npos) << what;
-    EXPECT_NE(what.find("engine=simd:mr=8,nr=8"), std::string::npos) << what;
+    EXPECT_NE(what.find("engine=simd:threads=1"), std::string::npos) << what;
+    EXPECT_NE(what.find("engine=naive"), std::string::npos) << what;
   }
   fs::remove(a);
   fs::remove(b);

@@ -122,7 +122,7 @@ TEST(RhwLint, SpecVerdicts) {
   EXPECT_EQ(rhw::check::check_spec_span("pgd:steps=7", &error),
             SpecVerdict::kOk);
   EXPECT_EQ(rhw::check::check_spec_span("fig8bc", &error), SpecVerdict::kOk);
-  EXPECT_EQ(rhw::check::check_spec_span("simd:mr=6,nr=16", &error),
+  EXPECT_EQ(rhw::check::check_spec_span("simd:threads=1", &error),
             SpecVerdict::kOk);
   // rhw-lint: allow(spec) — negative-path probe, stale on purpose
   EXPECT_EQ(rhw::check::check_spec_span("pgd:stps=7", &error),

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "core/engine_registry.hpp"
 #include "models/zoo.hpp"
 #include "nn/init.hpp"
 #include "core/serialize.hpp"
@@ -86,9 +87,48 @@ TEST(Zoo, CacheRoundTrip) {
   tcfg.epochs = 1;
   tcfg.batch_size = 30;
   const auto first = get_trained("vgg8", "test-tiny", data, tcfg);
-  EXPECT_TRUE(rhw::file_exists((dir / "vgg8_test-tiny.ckpt").string()));
+  const std::string ckpt =
+      "vgg8_test-tiny_" + core::active_engine().key() + ".ckpt";
+  EXPECT_TRUE(rhw::file_exists((dir / ckpt).string()));
   const auto second = get_trained("vgg8", "test-tiny", data, tcfg);
   EXPECT_NEAR(first.test_accuracy, second.test_accuracy, 1e-9);
+
+  unsetenv("RHW_ZOO_CACHE");
+  std::filesystem::remove_all(dir);
+}
+
+// Engines round differently, so the cache keeps one checkpoint per engine
+// key: training under naive and under simd writes two files, and a second
+// naive call loads its own file instead of retraining.
+TEST(Zoo, CacheIsKeyedByEngine) {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "rhw_zoo_engine_test";
+  std::filesystem::remove_all(dir);
+  setenv("RHW_ZOO_CACHE", dir.c_str(), 1);
+
+  data::SynthCifarConfig dcfg;
+  dcfg.num_classes = 2;
+  dcfg.train_per_class = 10;
+  dcfg.test_per_class = 5;
+  dcfg.image_size = 32;  // get_trained builds 32x32 models
+  const auto data = data::make_synth_cifar(dcfg);
+  TrainConfig tcfg;
+  tcfg.epochs = 1;
+  tcfg.batch_size = 20;
+
+  // get_trained announces "[zoo] training" on stdout only when it trains.
+  auto trains = [&](const char* engine) {
+    core::EngineScope scope(engine);
+    ::testing::internal::CaptureStdout();
+    get_trained("vgg8", "engine-key", data, tcfg);
+    return ::testing::internal::GetCapturedStdout().find("[zoo] training") !=
+           std::string::npos;
+  };
+  EXPECT_TRUE(trains("naive"));
+  EXPECT_TRUE(trains("simd"));
+  EXPECT_TRUE(rhw::file_exists((dir / "vgg8_engine-key_naive.ckpt").string()));
+  EXPECT_TRUE(rhw::file_exists((dir / "vgg8_engine-key_simd.ckpt").string()));
+  EXPECT_FALSE(trains("naive")) << "second naive call retrained";
 
   unsetenv("RHW_ZOO_CACHE");
   std::filesystem::remove_all(dir);
